@@ -1,0 +1,196 @@
+"""E1–E9 — every paper figure and in-text result, one parametrized case each.
+
+Each case regenerates one artefact under pytest-benchmark (see
+``conftest.py``), asserts its paper claims, then the figure's own shape
+checks below; each check's docstring names the workload and the paper
+shape it guards.
+"""
+
+import pytest
+
+from repro.bench.locking import FIG5_SATURATION_FLOWS
+
+
+def fig3(results):
+    """E1 — Figure 3: impact of locking on latency.
+
+    Workload: single-threaded pingpong, 1 B – 2 KB, over simulated Myri-10G.
+    Series: no locking / coarse-grain / fine-grain.
+    Paper shape: constant offsets of +140 ns (coarse) and +230 ns (fine),
+    independent of message size.
+    """
+    # the visual ordering of the three curves
+    for size in results.sizes():
+        none = results.point("none", size)
+        coarse = results.point("coarse", size)
+        fine = results.point("fine", size)
+        assert none < coarse < fine, f"ordering broken at {size} B"
+
+
+def fig5(results):
+    """E2 — Figure 5: two threads perform pingpongs concurrently.
+
+    Workload: per-core thread pairs running independent tagged pingpongs
+    over one shared NIC, coarse vs. fine locking, plus the 1-thread
+    baseline.
+    Paper shape: concurrent latency roughly twice the single-thread latency
+    under coarse locking; fine-grain clearly better.
+
+    The simulated MX path has about twice the per-message capacity of the
+    2009 stack, so the paper's two-thread saturation appears at four flows
+    (both flow counts are reported; claims are evaluated at saturation —
+    see EXPERIMENTS.md).
+    """
+    sat = FIG5_SATURATION_FLOWS
+    for size in results.sizes():
+        single = results.point("1 thread", size)
+        coarse = results.point(f"coarse ({sat} threads)", size)
+        fine = results.point(f"fine ({sat} threads)", size)
+        assert coarse > single, f"no concurrency penalty at {size} B"
+        assert fine < coarse, f"fine-grain not better at {size} B"
+
+
+def fig6(results):
+    """E3 — Figure 6: impact of PIOMan on latency.
+
+    Workload: single-threaded pingpong where nm_wait polls either the
+    library directly or through PIOMan's request lists, under coarse and
+    fine locking.
+    Paper shape: PIOMan's management adds a constant ~200 ns.
+    """
+    for policy in ("coarse", "fine"):
+        for size in results.sizes():
+            direct = results.point(policy, size)
+            pioman = results.point(f"pioman ({policy})", size)
+            assert pioman > direct, f"PIOMan free at {size} B under {policy}?"
+
+
+def fig7(results):
+    """E4 — Figure 7: impact of semaphores (busy vs. passive waiting).
+
+    Workload: single-threaded pingpong; nm_wait either keeps polling
+    through PIOMan (active) or blocks on a semaphore while PIOMan polls
+    from the scheduler's idle hook (passive).
+    Paper shape: the context switches of passive waiting cost ~750 ns.
+    """
+    for policy in ("coarse", "fine"):
+        for size in results.sizes():
+            active = results.point(f"active ({policy})", size)
+            passive = results.point(f"passive ({policy})", size)
+            assert passive > active, f"passive free at {size} B under {policy}?"
+
+
+def fig8(results):
+    """E5 — Figure 8: impact of cache affinity on a quad-core chip.
+
+    Workload: pingpong with the application thread bound to CPU 0 and all
+    polling delegated to CPU {0,1,2,3} (PIOMan idle hooks restricted to
+    one core; the app spins on the completion flag).
+    Paper shape: polling on the shared-L2 sibling (CPU 1) costs +400 ns;
+    polling across caches (CPU 2/3) costs +1.2 us; CPUs 2 and 3
+    equivalent.
+    """
+    for size in results.sizes():
+        cpu0 = results.point("polling on cpu 0", size)
+        cpu1 = results.point("polling on cpu 1", size)
+        cpu2 = results.point("polling on cpu 2", size)
+        cpu3 = results.point("polling on cpu 3", size)
+        assert cpu0 < cpu1 < cpu2, f"tier ordering broken at {size} B"
+        assert cpu2 == pytest.approx(cpu3, rel=0.1), f"cpu2 != cpu3 at {size} B"
+
+
+def fig8b(results):
+    """E5b — §4.1 in-text: cache affinity on the dual quad-core node.
+
+    Workload: as Figure 8, on the 8-core two-chip machine.
+    Paper shape: +400 ns shared cache (CPU 1), +2.3 us same chip /
+    separate cache (CPU 2-3), +3.1 us other chip (CPU 4-7).
+    """
+    for size in results.sizes():
+        base = results.point("polling on cpu 0", size)
+        shared = results.point("polling on cpu 1", size)
+        chip = results.point("polling on cpu 2", size)
+        other = results.point("polling on cpu 4", size)
+        assert base < shared < chip < other, f"tier ordering broken at {size} B"
+
+
+def fig9(results):
+    """E6 — Figure 9: impact of tasklets on deferred message submission.
+
+    Workload: non-blocking pingpong with a 10 us compute phase between
+    nm_isend and nm_wait, 2 KB – 32 KB, with background progression on
+    the shared-L2 core.  Series: inline submission (reference) /
+    idle-core offload ("without tasklets") / tasklet offload.
+    Paper shape: tasklets add ~2 us; plain idle-core offload ~400 ns.
+    """
+    for size in results.sizes():
+        ref = results.point("reference", size)
+        idle = results.point("no tasklets", size)
+        tasklets = results.point("tasklets", size)
+        assert ref < idle < tasklets, f"offload ordering broken at {size} B"
+
+
+def lockcost(results):
+    """E7 — §3.1 in-text: the spinlock cycle and per-message lock traffic.
+
+    Microbenchmarks: one uncontended acquire/release cycle (paper: 70 ns)
+    and the number of lock acquisitions per message under each policy
+    (paper: coarse holds the lock twice per message).
+    """
+    cycles = {r.config: r.latency_us for r in results}
+    assert cycles["cycles/msg (none)"] == 0
+    # coarse: 2 acquisitions per message (paper's accounting)
+    assert 1.5 <= cycles["cycles/msg (coarse)"] <= 2.5
+    # fine: 3 lock points per message
+    assert 2.5 <= cycles["cycles/msg (fine)"] <= 3.5
+
+
+def dedicated_core(results):
+    """E8 — §3.3 in-text: cost of dedicating a core to communication.
+
+    Workload: four compute threads on a quad-core node, with and without
+    one core reserved for a polling loop.
+    Paper shape: "on a 4-core machine, dedicating one core to
+    communication leads to up to 25 % decrease of the computation power".
+    """
+    loss = results.point("throughput loss", 0)
+    assert 0.17 <= loss <= 0.33
+
+
+def fixed_spin(results):
+    """E9 — §3.3 in-text: the fixed-spin waiting algorithm.
+
+    Workload: a receive whose message lands 8 us after the wait begins,
+    waited on with spin thresholds from 0 (pure blocking) to 20 us (pure
+    spinning for this event).
+    Paper shape: when the event falls inside the spin window the context
+    switch is avoided (Karlin et al.'s competitive spinning); outside it,
+    the switch cost returns but is amortised.
+    """
+    # thresholds covering the 8 us event avoid the switch: visibly faster
+    pure_block = results.point("fixed-spin wait", 0)
+    covering = results.point("fixed-spin wait", 10_000)
+    assert covering < pure_block
+    # thresholds below the event arrival pay the switch, like pure blocking
+    short_spin = results.point("fixed-spin wait", 2_000)
+    assert short_spin == pytest.approx(pure_block, rel=0.25)
+
+
+#: figure name -> its shape checks
+SHAPES = {
+    "fig3": fig3,
+    "fig5": fig5,
+    "fig6": fig6,
+    "fig7": fig7,
+    "fig8": fig8,
+    "fig8b": fig8b,
+    "fig9": fig9,
+    "lockcost": lockcost,
+    "dedicated-core": dedicated_core,
+    "fixed-spin": fixed_spin,
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_figure(figure_runner, name):
+    SHAPES[name](figure_runner(name))

@@ -1,9 +1,10 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Each ``benchmarks/bench_*.py`` regenerates one of the paper's figures (or
+``bench_figures.py`` regenerates each of the paper's figures (and
 in-text results) under pytest-benchmark, prints the same series the paper
-plots, records the measured values in ``extra_info``, and asserts the
-shape claims from :mod:`repro.bench.paper`.
+plots with the sweep's provenance footnote, records the measured values
+in ``extra_info``, and asserts the shape claims from
+:mod:`repro.bench.paper`.
 
 Set ``REPRO_BENCH_QUICK=1`` to run reduced sweeps and
 ``REPRO_BENCH_WORKERS=N`` to fan each figure's sweep out to N worker
@@ -15,21 +16,22 @@ import os
 import pytest
 
 from repro.bench import figures
-from repro.bench.parallel import resolve_workers
 from repro.bench.report import print_figure
+from repro.bench.runner import sweep_session
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-WORKERS = resolve_workers()
 
 
 def regenerate(benchmark, name: str):
     """Run one figure once under the benchmark timer; print and check it."""
-    result = benchmark.pedantic(
-        lambda: figures.FIGURES[name](QUICK, workers=WORKERS), rounds=1, iterations=1
-    )
-    results, checks = result
+    with sweep_session() as session:
+        results, checks = benchmark.pedantic(
+            lambda: figures.FIGURES[name](QUICK), rounds=1, iterations=1
+        )
     print()
-    print_figure(results, title=figures.TITLES[name], checks=checks)
+    print_figure(
+        results, title=figures.TITLES[name], checks=checks, note=session.note()
+    )
     for claim, measured in checks:
         benchmark.extra_info[claim.claim_id] = round(measured, 3)
     failed = [c.claim_id for c, m in checks if not c.check(m)]

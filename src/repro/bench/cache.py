@@ -15,13 +15,16 @@ Key material, in order:
   of the installed ``repro`` package, so *any* source edit invalidates
   every entry (the conservative rule: simulated latencies may depend on
   any layer);
+* the **runtime versions** — Python ``major.minor`` and numpy's version:
+  :mod:`repro.sim.rng` draws from numpy ``Generator`` streams, which
+  numpy does not promise to keep stable across releases;
 * the **point-function fingerprint** — module + qualname for plain
   functions, recursively expanded ``functools.partial`` args/keywords
   (pickled), with embedded :class:`~repro.bench.config.BenchConfig`
-  values normalized so worker counts and cache flags never split keys;
+  values normalized so the sibling size list never splits keys;
 * the **sweep config** (iterations, warmup, seed, jitter, time limit —
-  *not* ``sizes``/``workers``/``cache``), the experiment id, the config
-  label and the **message size**;
+  *not* ``sizes``), the experiment id, the config label and the
+  **message size**;
 * the **observation spec** (trace flag + ring capacity) when a capture
   must ride along — entries recorded without a capture never satisfy an
   observed run.
@@ -45,6 +48,7 @@ import hashlib
 import json
 import os
 import pickle
+import sys
 import warnings
 from pathlib import Path
 from typing import Any, Mapping
@@ -172,9 +176,8 @@ def package_digest() -> str:
 def _fingerprint_value(value: Any) -> Any:
     """Stable, picklable stand-in for one bound argument.
 
-    :class:`~repro.bench.config.BenchConfig` values are normalized so that
-    execution-only knobs (``workers``, ``cache``) and the sibling size list
-    never split keys — a warm re-run at any ``--workers`` count must hit.
+    :class:`~repro.bench.config.BenchConfig` values are normalized so
+    that the sibling size list never splits keys.
     """
     from repro.bench.config import BenchConfig
 
@@ -184,11 +187,22 @@ def _fingerprint_value(value: Any) -> Any:
 
 
 def _normalize_config(cfg: Any) -> tuple:
-    """The key-relevant fields of a BenchConfig, sorted by name."""
-    fields = dataclasses.asdict(cfg)
-    for execution_only in ("workers", "cache", "sizes"):
-        fields.pop(execution_only, None)
-    return tuple(sorted(fields.items()))
+    """The key-relevant fields of a BenchConfig (all but ``sizes``),
+    sorted by name."""
+    return tuple(
+        sorted(
+            (field.name, getattr(cfg, field.name))
+            for field in dataclasses.fields(cfg)
+            if field.name != "sizes"
+        )
+    )
+
+
+def runtime_versions() -> tuple[str, str]:
+    """Python ``major.minor`` and ``numpy.__version__``, part of every key."""
+    import numpy
+
+    return f"{sys.version_info[0]}.{sys.version_info[1]}", numpy.__version__
 
 
 def _fingerprint_fn(fn: Any) -> Any:
@@ -234,6 +248,7 @@ def point_key(
         material = (
             ENTRY_FORMAT,
             package_digest(),
+            runtime_versions(),
             _fingerprint_fn(fn),
             experiment,
             config,

@@ -32,11 +32,6 @@ class BenchConfig:
     jitter_ns: int = 0
     #: hard ceiling on simulated time per point (debugging aid)
     max_time_ns: int = 20_000_000_000
-    #: worker processes for the sweep (None = REPRO_BENCH_WORKERS, else 1)
-    workers: int | None = None
-    #: incremental point cache (None = REPRO_BENCH_CACHE, default on);
-    #: execution-only, never part of a point's cache key
-    cache: bool | None = None
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:
@@ -45,8 +40,6 @@ class BenchConfig:
             raise ValueError("need 0 <= warmup < iterations")
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
-        if self.workers is not None and self.workers <= 0:
-            raise ValueError("workers must be > 0 (or None for the default)")
 
     @classmethod
     def quick(cls, sizes: tuple[int, ...] | None = None) -> "BenchConfig":
@@ -58,10 +51,3 @@ class BenchConfig:
         parsed = tuple(parse_size(s) for s in specs)
         return dataclasses.replace(self, sizes=parsed)
 
-    def with_workers(self, workers: int | None) -> "BenchConfig":
-        """Copy with a different sweep worker count."""
-        return dataclasses.replace(self, workers=workers)
-
-    def with_cache(self, cache: bool | None) -> "BenchConfig":
-        """Copy with the incremental point cache forced on/off."""
-        return dataclasses.replace(self, cache=cache)

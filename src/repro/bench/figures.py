@@ -9,10 +9,10 @@ table plus verdicts.  Command line::
     python -m repro.bench.figures fig8 --quick     # reduced sweep
     python -m repro.bench.figures all --workers 8  # parallel sweeps
 
-Every figure function accepts ``workers``: sweep points are measured on
-that many worker processes (``repro.bench.parallel``) with results
-deterministically identical to the sequential run.  ``workers=None``
-defers to the ``REPRO_BENCH_WORKERS`` environment variable.
+The figure functions take only ``quick``; worker count, cache and
+observation come from the enclosing
+:func:`~repro.bench.runner.sweep_session`, which :func:`render` opens.
+Results are deterministically identical at any worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.bench import affinity, lockcost, locking, overlap, waiting
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
 from repro.bench.paper import PaperClaim, claim
 from repro.bench.report import print_figure
+from repro.bench.runner import add_session_arguments, session_options, sweep_session
 from repro.util.records import ResultRecord, ResultSet
 
 FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
@@ -36,32 +37,22 @@ FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
 SWEEP_JITTER_NS = 150
 
 
-def _cfg(
-    quick: bool,
-    sizes=PAPER_SIZES,
-    workers: int | None = None,
-    cache: bool | None = None,
-) -> BenchConfig:
+def _cfg(quick: bool, sizes=PAPER_SIZES) -> BenchConfig:
     if quick:
         return BenchConfig(
             iterations=24,
             warmup=4,
             sizes=tuple(sizes[::3]) or sizes[:1],
             jitter_ns=SWEEP_JITTER_NS,
-            workers=workers,
-            cache=cache,
         )
     return BenchConfig(
-        iterations=48, warmup=4, sizes=sizes, jitter_ns=SWEEP_JITTER_NS,
-        workers=workers, cache=cache,
+        iterations=48, warmup=4, sizes=sizes, jitter_ns=SWEEP_JITTER_NS
     )
 
 
-def fig3(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig3(quick: bool = False) -> FigureResult:
     """Figure 3: impact of locking on latency."""
-    results = locking.run_fig3(_cfg(quick, workers=workers, cache=cache))
+    results = locking.run_fig3(_cfg(quick))
     offsets = locking.fig3_offsets(results)
     coarse_fit = constant_offset(results.series("none"), results.series("coarse"))
     checks = [
@@ -72,9 +63,7 @@ def fig3(
     return results, checks
 
 
-def fig5(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig5(quick: bool = False) -> FigureResult:
     """Figure 5: concurrent pingpongs.
 
     The paper's claims are evaluated at the node's saturation flow count
@@ -82,7 +71,7 @@ def fig5(
     MX path has about twice the message capacity of the 2009 stack, so the
     two-thread saturation of the paper appears at four flows here.
     """
-    results = locking.run_fig5(_cfg(quick, workers=workers, cache=cache))
+    results = locking.run_fig5(_cfg(quick))
     ratios = locking.fig5_ratios(results)
     sat = locking.FIG5_SATURATION_FLOWS
 
@@ -99,21 +88,17 @@ def fig5(
     return results, checks
 
 
-def fig6(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig6(quick: bool = False) -> FigureResult:
     """Figure 6: impact of PIOMan on latency."""
-    results = waiting.run_fig6(_cfg(quick, workers=workers, cache=cache))
+    results = waiting.run_fig6(_cfg(quick))
     fit = constant_offset(results.series("fine"), results.series("pioman (fine)"))
     checks = [(claim("fig6-pioman-offset"), fit.offset_ns * 1_000)]
     return results, checks
 
 
-def fig7(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig7(quick: bool = False) -> FigureResult:
     """Figure 7: impact of semaphores (passive waiting) on latency."""
-    results = waiting.run_fig7(_cfg(quick, workers=workers, cache=cache))
+    results = waiting.run_fig7(_cfg(quick))
     fit = constant_offset(
         results.series("active (fine)"), results.series("passive (fine)")
     )
@@ -121,11 +106,9 @@ def fig7(
     return results, checks
 
 
-def fig8(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig8(quick: bool = False) -> FigureResult:
     """Figure 8: impact of cache affinity on a quad-core chip."""
-    results = affinity.run_fig8(_cfg(quick, workers=workers, cache=cache))
+    results = affinity.run_fig8(_cfg(quick))
     deltas = affinity.affinity_deltas(results)
     far = (deltas["polling on cpu 2"] + deltas["polling on cpu 3"]) / 2
     checks = [
@@ -135,11 +118,9 @@ def fig8(
     return results, checks
 
 
-def fig8b(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig8b(quick: bool = False) -> FigureResult:
     """§4.1 in-text: cache affinity on the dual quad-core node."""
-    results = affinity.run_fig8b(_cfg(quick, workers=workers, cache=cache))
+    results = affinity.run_fig8b(_cfg(quick))
     deltas = affinity.affinity_deltas(results)
     checks = [
         (claim("fig8b-shared-l2"), deltas["polling on cpu 1"]),
@@ -149,11 +130,9 @@ def fig8b(
     return results, checks
 
 
-def fig9(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def fig9(quick: bool = False) -> FigureResult:
     """Figure 9: impact of tasklets on deferred message submission."""
-    cfg = _cfg(quick, sizes=OVERLAP_SIZES, workers=workers, cache=cache)
+    cfg = _cfg(quick, sizes=OVERLAP_SIZES)
     results = overlap.run_fig9(cfg)
     ref = results.series("reference")
     tasklet_fit = constant_offset(ref, results.series("tasklets"))
@@ -165,9 +144,7 @@ def fig9(
     return results, checks
 
 
-def text_lockcost(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_lockcost(quick: bool = False) -> FigureResult:
     """§3.1 text: the 70 ns spinlock cycle and per-message lock counts."""
     cycles = 100 if quick else 1_000
     cycle_ns = lockcost.measure_spin_cycle_ns(cycles)
@@ -185,9 +162,7 @@ def text_lockcost(
     return results, checks
 
 
-def text_dedicated_core(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_dedicated_core(quick: bool = False) -> FigureResult:
     """§3.3 text: dedicating 1 of 4 cores costs up to 25 % of compute."""
     duration = 500_000 if quick else 2_000_000
     loss = affinity.dedicated_core_loss(duration_ns=duration)
@@ -199,9 +174,7 @@ def text_dedicated_core(
     return results, checks
 
 
-def text_fixed_spin(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def text_fixed_spin(quick: bool = False) -> FigureResult:
     """§3.3 text: the fixed-spin algorithm avoids switches for fast events."""
     iters = 6 if quick else 12
     results = waiting.run_fixed_spin_sweep(iterations=iters)
@@ -216,9 +189,7 @@ def text_fixed_spin(
     return results, checks
 
 
-def decompose(
-    quick: bool = False, *, workers: int | None = None, cache: bool | None = None
-) -> FigureResult:
+def decompose(quick: bool = False) -> FigureResult:
     """Extension: one-way latency decomposition per policy (§1's method:
     'decomposing each step of thread support')."""
     from repro.analysis.decompose import decompose_message
@@ -279,55 +250,30 @@ def render(
     trace: str | None = None,
     metrics: bool = False,
 ) -> str:
-    """Measure and print one artefact; returns the report text.
+    """Measure and print one artefact in its own
+    :func:`~repro.bench.runner.sweep_session`; returns the report text.
 
-    Args:
-        cache: force the incremental point cache on/off (``None`` defers
-            to ``REPRO_BENCH_CACHE``, default on); the footnote records
-            how many points were replayed vs. computed.
-        trace: path of a Chrome trace-event JSON to export (open it at
-            ui.perfetto.dev); covers every testbed the figure builds,
-            including points measured on worker processes.
-        metrics: also print the observability report (lock contention,
-            core utilization, PIOMan counters, overhead decomposition).
+    The footnote records the worker count and how many points were
+    replayed from the cache vs. computed.  ``trace`` names a Chrome
+    trace-event JSON to export (open it at ui.perfetto.dev) covering every
+    testbed the figure builds, worker-side ones included; ``metrics``
+    appends the observability report.
     """
-    from repro.bench import cache as point_cache
-    from repro.bench import parallel
-    from repro.bench.report import provenance_note
-
     try:
         fn = FIGURES[name]
     except KeyError:
         raise KeyError(f"unknown figure {name!r}; known: {sorted(FIGURES)}") from None
-    cache_before = point_cache.stats()
-    pool_before = parallel.pool_stats()
-    if trace is None and not metrics:
-        results, checks = fn(quick, workers=workers, cache=cache)
-        observation = None
-    else:
-        from repro.obs import capture as obs_capture
-
-        with obs_capture.observe(trace=trace is not None) as observation:
-            results, checks = fn(quick, workers=workers, cache=cache)
-    note = provenance_note(
-        workers=workers,
-        cache_delta=point_cache.stats().delta(cache_before),
-        pool_delta=parallel.pool_stats_delta(pool_before),
+    with sweep_session(
+        workers=workers, cache=cache, trace=trace, metrics=metrics
+    ) as session:
+        results, checks = fn(quick)
+    text = print_figure(
+        results, title=TITLES[name], checks=checks, note=session.note()
     )
-    text = print_figure(results, title=TITLES[name], checks=checks, note=note)
-    if observation is not None:
-        extra_parts = []
-        if metrics:
-            extra_parts.append(observation.metrics_registry().report())
-        if trace is not None:
-            doc = observation.export_chrome(trace)
-            extra_parts.append(
-                f"trace: {len(doc['traceEvents'])} trace events "
-                f"({observation.event_count()} scheduler events) -> {trace}"
-            )
-        extra = "\n\n".join(extra_parts)
-        print(extra)
-        text = text + "\n\n" + extra
+    footer = session.report()
+    if footer:
+        print(footer)
+        text = text + "\n\n" + footer
     return text
 
 
@@ -335,45 +281,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the paper's figures")
     parser.add_argument("figure", choices=sorted(FIGURES) + ["all"])
     parser.add_argument("--quick", action="store_true", help="reduced sweep")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per sweep (default: $REPRO_BENCH_WORKERS or 1); "
-        "results are identical to a sequential run",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental point cache (results/.cache/): "
-        "measure every sweep point even when an identical point is "
-        "already stored; equivalent to REPRO_BENCH_CACHE=0",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="export a Chrome trace-event JSON of every simulated testbed "
-        "(open at ui.perfetto.dev); with 'all', each figure gets its own "
-        "FILE suffixed by the figure name",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the observability report (locks, core utilization, "
-        "PIOMan, overhead decomposition) after each figure",
+    add_session_arguments(
+        parser,
+        trace_help="export a Chrome trace-event JSON of every simulated "
+        "testbed (open at ui.perfetto.dev); with 'all', each figure gets "
+        "its own FILE suffixed by the figure name",
     )
     args = parser.parse_args(argv)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
-        trace = args.trace
+        options = session_options(args)
+        trace = options["trace"]
         if trace is not None and len(names) > 1:
             stem, dot, ext = trace.rpartition(".")
-            trace = f"{stem}-{name}.{ext}" if dot else f"{trace}-{name}"
-        render(name, quick=args.quick, workers=args.workers,
-               cache=False if args.no_cache else None,
-               trace=trace, metrics=args.metrics)
+            options["trace"] = f"{stem}-{name}.{ext}" if dot else f"{trace}-{name}"
+        render(name, quick=args.quick, **options)
         print()
     return 0
 

@@ -2,7 +2,7 @@
 
 All point functions are module-level and composed with
 :func:`functools.partial`, so sweeps can cross a process boundary when
-``run_sweep`` runs with ``workers > 1``.
+``run_sweep`` runs on more than one worker.
 """
 
 from __future__ import annotations

@@ -21,10 +21,13 @@ order on any process.  This module supplies the worker-pool machinery:
   (one huge point among small ones — fig8b's shape) dispatch
   point-by-point so a long-tail point never serializes a chunk of quick
   ones behind it;
-* :func:`run_tasks` / :func:`run_points_parallel` — execute tasks via
-  index-tagged ``imap_unordered`` (workers pull work dynamically) and
-  reassemble the results **positionally**, so the returned list is
-  indistinguishable from a sequential run.
+* :func:`measure_point` — run one task, under its own observation when
+  the task carries an observation spec; the same function runs a point
+  in-process or on a worker;
+* :func:`run_tasks` — execute tasks via index-tagged ``imap_unordered``
+  (workers pull work dynamically) and reassemble the results
+  **positionally**, so the returned list is indistinguishable from a
+  sequential run.
 
 Determinism: the task list is built config-major/size-minor exactly like
 the sequential loop, every task carries its own index, results are
@@ -128,14 +131,14 @@ def compute_chunksize(weights: Sequence[float], workers: int) -> int:
     return chunk
 
 
-def _measure_point(task: tuple) -> float | tuple[float, dict]:
-    """Worker-side shim: run one point.  Must stay module-level so the
-    pool can import it under the ``spawn`` start method.
+def measure_point(task: tuple) -> float | tuple[float, dict]:
+    """Run one ``(name, fn, size)`` point.  Module-level so the pool can
+    import it under the ``spawn`` start method.
 
-    With a 4th ``(trace, max_events)`` element, the point runs under the
-    worker's own observation context (:mod:`repro.obs.capture`) and the
-    serialized capture rides back with the measurement, so the parent can
-    merge per-worker traces in deterministic sweep order.
+    With a 4th ``(trace, max_events)`` element, the point runs under its
+    own observation context (:mod:`repro.obs.capture`) and the serialized
+    capture rides back with the measurement, so the sweep can merge every
+    point's capture in deterministic sweep order.
     """
     _name, fn, size = task[:3]
     spec = task[3] if len(task) > 3 else None
@@ -153,7 +156,7 @@ def _measure_indexed(item: tuple[int, tuple]) -> tuple[int, object]:
     """Worker-side shim for ``imap_unordered``: tag the outcome with the
     task's sweep index so the parent can reassemble positionally."""
     index, task = item
-    return index, _measure_point(task)
+    return index, measure_point(task)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -217,14 +220,9 @@ def pool_stats_delta(before: Mapping[str, int]) -> dict[str, int]:
     return {k: v - before.get(k, 0) for k, v in _pool_stats.items()}
 
 
-def run_tasks(
-    tasks: Sequence[tuple],
-    workers: int,
-    *,
-    capture: tuple[bool, int] | None = None,
-) -> list:
-    """Measure an arbitrary ``(name, fn, size)`` task list on the
-    persistent pool; outcomes return positionally aligned with ``tasks``.
+def run_tasks(tasks: Sequence[tuple], workers: int) -> list:
+    """Measure a list of :func:`measure_point` tasks on the persistent
+    pool; outcomes return positionally aligned with ``tasks``.
 
     Scheduling is dynamic — index-tagged ``imap_unordered`` with
     :func:`compute_chunksize` granularity — so skewed grids load-balance;
@@ -232,54 +230,15 @@ def run_tasks(
     """
     if not tasks:
         return []
-    full = [
-        task if capture is None else (*task, capture) for task in tasks
-    ]
     pool = get_pool(workers)
     chunksize = compute_chunksize(
-        [task[2] for task in full], min(workers, len(full))
+        [task[2] for task in tasks], min(workers, len(tasks))
     )
-    outcomes: list = [None] * len(full)
+    outcomes: list = [None] * len(tasks)
     for index, outcome in pool.imap_unordered(
-        _measure_indexed, list(enumerate(full)), chunksize=chunksize
+        _measure_indexed, list(enumerate(tasks)), chunksize=chunksize
     ):
         outcomes[index] = outcome
-    _pool_stats["dispatched"] += len(full)
+    _pool_stats["dispatched"] += len(tasks)
     return outcomes
 
-
-def run_points_parallel(
-    configs: Mapping[str, PointFn],
-    sizes: Sequence[int],
-    workers: int,
-    *,
-    capture: tuple[bool, int] | None = None,
-) -> list[tuple]:
-    """Measure the whole (config, size) grid on ``workers`` processes.
-
-    Returns ``(config, size, latency_us)`` triples in **sequential sweep
-    order** (config-major, size-minor), regardless of which worker
-    finished first.
-
-    Args:
-        capture: optional ``(trace, max_events)`` observation spec; when
-            given, each point runs under its own worker-side observation
-            and the rows become ``(config, size, latency_us, snapshot)``
-            — snapshots arrive in sequential order, so merged traces are
-            deterministic.
-    """
-    tasks = [
-        (name, fn, size)
-        for name, fn in configs.items()
-        for size in sizes
-    ]
-    outcomes = run_tasks(tasks, workers, capture=capture)
-    if capture is None:
-        return [
-            (task[0], task[2], latency)
-            for task, latency in zip(tasks, outcomes)
-        ]
-    return [
-        (task[0], task[2], latency, snapshot)
-        for task, (latency, snapshot) in zip(tasks, outcomes)
-    ]

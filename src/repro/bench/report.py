@@ -7,15 +7,10 @@ a block of claim verdicts comparing the measured offsets/ratios against
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
 from repro.bench.paper import PaperClaim
 from repro.util.records import ResultSet
 from repro.util.tables import render_table
 from repro.util.units import format_size
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.bench.cache import CacheStats
 
 
 def figure_table(results: ResultSet, *, title: str) -> str:
@@ -51,42 +46,6 @@ def figure_table(results: ResultSet, *, title: str) -> str:
             f"\n!! INCOMPLETE SWEEP: {len(missing)} missing point(s): {shown}"
         )
     return text
-
-
-def provenance_note(
-    *,
-    workers: int | None = None,
-    cache_delta: "CacheStats | None" = None,
-    pool_delta: Mapping[str, int] | None = None,
-) -> str | None:
-    """The sweep-provenance footnote: worker count, cache hit/miss counts
-    and pool reuse — so every figure records whether its points were
-    *computed* or *replayed* from the incremental cache.
-
-    Returns ``None`` when there is nothing worth noting (sequential,
-    cache untouched), keeping cacheless reports byte-identical to the
-    pre-cache era.
-    """
-    parts = []
-    if workers and workers > 1:
-        parts.append(f"sweep: {workers} worker processes")
-    if cache_delta is not None and (
-        cache_delta.hits or cache_delta.misses or cache_delta.invalidations
-    ):
-        bit = (
-            f"cache: {cache_delta.hits} hit(s) / {cache_delta.misses} miss(es)"
-        )
-        if cache_delta.invalidations:
-            bit += f" / {cache_delta.invalidations} discarded"
-        if cache_delta.misses == 0 and cache_delta.hits:
-            bit += " — fully replayed"
-        parts.append(bit)
-    if pool_delta is not None and pool_delta.get("dispatched"):
-        state = "reused" if not pool_delta.get("created") else "spawned"
-        parts.append(
-            f"pool: {pool_delta['dispatched']} task(s) on a {state} pool"
-        )
-    return "; ".join(parts) if parts else None
 
 
 def verdict_block(checks: list[tuple[PaperClaim, float]]) -> str:

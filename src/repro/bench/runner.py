@@ -1,7 +1,10 @@
 """Parameter sweeps: turn per-point measurement functions into ResultSets.
 
-:func:`run_sweep` is the single funnel every figure and workload sweep
-goes through, and therefore where the two pipeline optimisations meet:
+:func:`run_sweep` is the funnel of every workload scenario and of seven
+figures (fig3, fig5, fig6, fig7, fig8, fig8b, fig9).  The other four —
+``lockcost``, ``dedicated-core``, ``fixed-spin`` and ``decompose`` —
+measure directly and bypass it.  It is where the two pipeline
+optimisations meet:
 
 * the **incremental point cache** (:mod:`repro.bench.cache`): each
   (config, size) point is fingerprinted and looked up before anything is
@@ -15,21 +18,26 @@ goes through, and therefore where the two pipeline optimisations meet:
 Both are pure wall-clock optimisations: the returned ResultSet has the
 same records in the same order with the same JSON serialization whether
 points were computed or replayed, sequentially or on any worker count.
+
+The execution settings — worker count, cache switch, observation — live
+in one :func:`sweep_session`, opened by ``figures.render``,
+``matrix.run_scenario`` and the two command lines; sweeps run with no
+session open use the ``REPRO_BENCH_WORKERS``/``REPRO_BENCH_CACHE``
+defaults.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import dataclasses
 import math
 import warnings
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.bench import cache as point_cache
+from repro.bench import parallel
 from repro.bench.config import BenchConfig
-from repro.bench.parallel import (
-    points_picklable,
-    resolve_workers,
-    run_tasks,
-)
 from repro.obs import capture as obs_capture
 from repro.util.records import ResultRecord, ResultSet
 
@@ -39,6 +47,140 @@ PointFn = Callable[[int], float]
 #: sweeps already warned about the sequential fallback (one warning per
 #: experiment per process, not one per point)
 _warned_fallback: set[str] = set()
+
+
+@dataclasses.dataclass
+class SweepSession:
+    """The resolved execution settings of the sweeps run inside one
+    :func:`sweep_session`, and the counters its footnote reports."""
+
+    workers: int
+    cache: bool
+    observation: obs_capture.Observation | None = None
+    trace: str | None = None
+    metrics: bool = False
+    cache_before: point_cache.CacheStats = dataclasses.field(
+        default_factory=point_cache.stats
+    )
+    pool_before: dict[str, int] = dataclasses.field(
+        default_factory=parallel.pool_stats
+    )
+
+    def note(self) -> str | None:
+        """The provenance footnote — worker count, cache hits/misses and
+        pool use — so every report says whether its points were computed
+        or replayed; ``None`` when sequential with the cache untouched."""
+        parts = []
+        if self.workers > 1:
+            parts.append(f"sweep: {self.workers} worker processes")
+        cache = point_cache.stats().delta(self.cache_before)
+        if cache.hits or cache.misses or cache.invalidations:
+            bit = f"cache: {cache.hits} hit(s) / {cache.misses} miss(es)"
+            if cache.invalidations:
+                bit += f" / {cache.invalidations} discarded"
+            if cache.misses == 0 and cache.hits:
+                bit += " — fully replayed"
+            parts.append(bit)
+        pool = parallel.pool_stats_delta(self.pool_before)
+        if pool["dispatched"]:
+            state = "reused" if not pool["created"] else "spawned"
+            parts.append(f"pool: {pool['dispatched']} task(s) on a {state} pool")
+        return "; ".join(parts) if parts else None
+
+    def report(self) -> str:
+        """The metrics report and the trace export line ("" when nothing
+        was observed); writes the trace file."""
+        if self.observation is None:
+            return ""
+        parts = []
+        if self.metrics:
+            parts.append(self.observation.metrics_registry().report())
+        if self.trace is not None:
+            doc = self.observation.export_chrome(self.trace)
+            parts.append(
+                f"trace: {len(doc['traceEvents'])} trace events "
+                f"({self.observation.event_count()} scheduler events) -> "
+                f"{self.trace}"
+            )
+        return "\n\n".join(parts)
+
+
+_active: SweepSession | None = None
+
+
+@contextlib.contextmanager
+def sweep_session(
+    workers: int | None = None,
+    cache: bool | None = None,
+    trace: str | None = None,
+    metrics: bool = False,
+) -> Iterator[SweepSession]:
+    """Run the block's sweeps with one set of execution settings.
+
+    ``workers``/``cache`` left at ``None`` inherit from an enclosing
+    session, else resolve from ``REPRO_BENCH_WORKERS`` (default 1) and
+    ``REPRO_BENCH_CACHE`` (default on).  A ``trace`` path or ``metrics``
+    installs an observation (:func:`repro.obs.capture.observe`) for the
+    block; :meth:`SweepSession.report` renders it afterwards.
+    """
+    global _active
+    outer = _active
+    session = SweepSession(
+        workers=outer.workers
+        if workers is None and outer is not None
+        else parallel.resolve_workers(workers),
+        cache=outer.cache
+        if cache is None and outer is not None
+        else point_cache.enabled(cache),
+        trace=trace,
+        metrics=metrics,
+    )
+    with contextlib.ExitStack() as stack:
+        if trace is not None or metrics:
+            session.observation = stack.enter_context(
+                obs_capture.observe(trace=trace is not None)
+            )
+        _active = session
+        try:
+            yield session
+        finally:
+            _active = outer
+
+
+def add_session_arguments(parser: argparse.ArgumentParser, *, trace_help: str) -> None:
+    """The ``--workers/--no-cache/--trace/--metrics`` options of a sweep CLI."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes per sweep (default: $REPRO_BENCH_WORKERS or "
+        "1); results are identical to a sequential run",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the incremental point cache (results/.cache/): "
+        "measure every sweep point even when an identical point is "
+        "already stored; equivalent to REPRO_BENCH_CACHE=0",
+    )
+    parser.add_argument("--trace", default=None, metavar="FILE", help=trace_help)
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print the observability report (locks, core utilization, "
+        "PIOMan, overhead decomposition) after the run",
+    )
+
+
+def session_options(args: argparse.Namespace) -> dict:
+    """:func:`sweep_session` keywords from :func:`add_session_arguments`."""
+    return {
+        "workers": args.workers,
+        "cache": False if args.no_cache else None,
+        "trace": args.trace,
+        "metrics": args.metrics,
+    }
 
 
 def _warn_sequential_fallback(experiment: str) -> None:
@@ -78,7 +220,6 @@ def run_sweep(
     cfg: BenchConfig,
     *,
     extra: Callable[[str, int], dict] | None = None,
-    workers: int | None = None,
 ) -> ResultSet:
     """Measure every (config, size) combination.
 
@@ -86,53 +227,47 @@ def run_sweep(
     fully independent, like separate benchmark runs on the paper's cluster —
     which is what makes the grid embarrassingly parallel *and* cacheable.
 
-    Args:
-        workers: worker processes for the grid.  Defaults to
-            ``cfg.workers``, then the ``REPRO_BENCH_WORKERS`` environment
-            variable, then 1 (fully sequential, in-process).  Any
-            ``workers > 1`` sweep whose point functions cannot be pickled
-            (lambdas, closures) falls back to the sequential path with a
-            one-time warning; either way the returned ResultSet has the
-            same records in the same order with the same JSON
-            serialization.
+    Workers and cache come from the active :func:`sweep_session`.  A
+    ``workers > 1`` sweep whose point functions cannot be pickled
+    (lambdas, closures) falls back to the sequential path with a one-time
+    warning.  With the cache on, every fingerprintable point is looked up
+    before measuring and stored after; a warm re-run replays the whole
+    grid without building a single testbed.
 
-    Caching: with the incremental cache enabled (``cfg.cache``, the
-    ``REPRO_BENCH_CACHE`` environment variable, default on), every
-    fingerprintable point is looked up before measuring and stored after;
-    a warm re-run replays the whole grid without building a single
-    testbed.  When an observation is active, cached entries must carry
-    the point's capture blob (recorded under the same observation spec)
-    or they are treated as misses — replayed traces are byte-identical
-    to recomputed ones.
+    While an observation is active, every point runs under its own nested
+    observation — in this process or on a worker — and its serialized
+    capture is absorbed in sweep order, whether it was just measured or
+    replayed from the cache; cached entries without a capture are misses.
     """
     if not configs:
         raise ValueError("run_sweep needs at least one config")
-    nworkers = resolve_workers(cfg.workers if workers is None else workers)
+    if _active is not None:
+        nworkers, use_cache = _active.workers, _active.cache
+    else:
+        nworkers, use_cache = parallel.resolve_workers(), point_cache.enabled()
     observation = obs_capture.active()
     spec = (
         (observation.trace, observation.max_events)
         if observation is not None
         else None
     )
-    obs_key = ("obs", *spec) if spec is not None else None
 
     points = [
         (name, fn, size)
         for name, fn in configs.items()
         for size in cfg.sizes
     ]
-    picklable = points_picklable(configs, extra)
+    picklable = parallel.points_picklable(configs, extra)
     if nworkers > 1 and len(points) > 1 and not picklable:
         _warn_sequential_fallback(experiment)
 
-    store = (
-        point_cache.PointCache() if point_cache.enabled(cfg.cache) else None
-    )
+    store = point_cache.PointCache() if use_cache else None
     keys: list[str | None] = [None] * len(points)
     latencies: list[float | None] = [None] * len(points)
     blobs: list[dict | None] = [None] * len(points)
 
     if store is not None:
+        obs_key = ("obs", *spec) if spec is not None else None
         for i, (name, fn, size) in enumerate(points):
             keys[i] = point_cache.point_key(
                 fn,
@@ -151,9 +286,17 @@ def run_sweep(
             blobs[i] = entry.get("capture")
 
     miss_idx = [i for i, v in enumerate(latencies) if v is None]
+    tasks = [
+        points[i] if spec is None else (*points[i], spec) for i in miss_idx
+    ]
+    if nworkers > 1 and len(tasks) > 1 and picklable:
+        outcomes = parallel.run_tasks(tasks, nworkers)
+    else:
+        outcomes = map(parallel.measure_point, tasks)
 
-    def remember(i: int, latency_us: float, blob: dict | None) -> None:
+    for i, outcome in zip(miss_idx, outcomes):
         name, _fn, size = points[i]
+        latency_us, blob = outcome if spec is not None else (outcome, None)
         _check_latency(name, size, latency_us)
         latencies[i] = latency_us
         blobs[i] = blob
@@ -171,46 +314,9 @@ def run_sweep(
                 },
             )
 
-    # absorbed mode: every point's capture travels as a serialized blob
-    # (worker-side or nested observation), merged in sweep order below —
-    # the representation the cache stores and replays.  Without cache and
-    # without workers, live registration (set_label) is kept as-is.
-    absorbed = observation is not None and (
-        store is not None or (nworkers > 1 and picklable)
-    )
-
-    if miss_idx and nworkers > 1 and len(miss_idx) > 1 and picklable:
-        outcomes = run_tasks(
-            [points[i] for i in miss_idx], nworkers, capture=spec
-        )
-        for i, outcome in zip(miss_idx, outcomes):
-            if spec is None:
-                remember(i, outcome, None)
-            else:
-                latency_us, blob = outcome
-                remember(i, latency_us, blob)
-    else:
-        for i in miss_idx:
-            name, fn, size = points[i]
-            if observation is not None and absorbed:
-                # run under a nested observation so this point's capture
-                # serializes exactly like a worker's would — and can
-                # round-trip through the cache
-                with obs_capture.observe(
-                    trace=observation.trace, max_events=observation.max_events
-                ) as inner:
-                    latency_us = fn(size)
-                remember(i, latency_us, inner.serialize())
-            elif observation is not None:
-                observation.set_label(f"{experiment}/{name}/{size}")
-                remember(i, fn(size), None)
-            else:
-                remember(i, fn(size), None)
-
     results = ResultSet()
-    for i, (name, fn, size) in enumerate(points):
-        if absorbed and blobs[i] is not None:
-            # sweep order, whether the blob was replayed or just measured
+    for i, (name, _fn, size) in enumerate(points):
+        if observation is not None:
             observation.absorb(blobs[i], label=f"{experiment}/{name}/{size}")
         results.add(
             ResultRecord(

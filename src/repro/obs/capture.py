@@ -8,12 +8,12 @@ on) and the bed's locks/cores/PIOMan counters become part of the final
 snapshot.  The disabled path stays free — ``build_testbed`` performs one
 function call to discover that no observation is active.
 
-Process boundaries: the parallel sweep runner (:mod:`repro.bench.parallel`)
-runs each sweep point in a worker process.  Workers open their *own*
-observation around the point, ship :meth:`Observation.serialize` output
-back with the measurement, and the parent re-absorbs the snapshots **in
-sequential sweep order** — so a ``--workers 8`` trace is deterministic and
-identical to the sequential one.
+Sweeps: :func:`repro.bench.runner.run_sweep` runs every point under its
+*own* nested observation — in this process or on a worker — ships
+:meth:`Observation.serialize` output back with the measurement (and into
+the point cache), and re-absorbs the snapshots **in sequential sweep
+order** — so a ``--workers 8`` or cache-replayed trace is deterministic
+and identical to the sequential one.
 """
 
 from __future__ import annotations

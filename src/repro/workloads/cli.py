@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 
+from repro.bench.runner import add_session_arguments, session_options, sweep_session
 from repro.util.records import ResultSet
 from repro.workloads import registry
 from repro.workloads.matrix import (
@@ -25,26 +26,6 @@ from repro.workloads.matrix import (
     missing_point_count,
     run_scenario,
 )
-
-
-def run_scenarios(
-    names: list[str],
-    *,
-    quick: bool = False,
-    seed: int = 0,
-    workers: int | None = None,
-    grid: str = "standard",
-    cache: bool | None = None,
-) -> dict[str, ResultSet]:
-    """Measure the named scenarios; returns {name: ResultSet} in call
-    order."""
-    return {
-        name: run_scenario(
-            name, quick=quick, seed=seed, workers=workers, grid=grid,
-            cache=cache,
-        )
-        for name in names
-    }
 
 
 def save_results(
@@ -86,38 +67,16 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=0, help="workload seed (default 0)"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per sweep (default: $REPRO_BENCH_WORKERS or "
-        "1); results are identical to a sequential run",
-    )
-    parser.add_argument(
         "--grid",
         choices=("standard", "full"),
         default="standard",
         help="mechanism grid: standard (8 combos) or full (every valid "
         "locking x waiting x progression combination)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental point cache (results/.cache/); "
-        "equivalent to REPRO_BENCH_CACHE=0",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="export a Chrome trace-event JSON covering every scenario "
-        "testbed (open at ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the observability report (locks, core utilization, "
-        "PIOMan, overhead decomposition) after the matrix",
+    add_session_arguments(
+        parser,
+        trace_help="export a Chrome trace-event JSON covering every "
+        "scenario testbed (open at ui.perfetto.dev)",
     )
     parser.add_argument(
         "--out-dir",
@@ -142,50 +101,22 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         registry.get(name)  # fail fast on typos, before any measuring
 
-    from repro.bench import cache as point_cache
-    from repro.bench import parallel
-    from repro.bench.report import provenance_note
-
-    cache = False if args.no_cache else None
-    cache_before = point_cache.stats()
-    pool_before = parallel.pool_stats()
-    observation = None
-    if args.trace is not None or args.metrics:
-        from repro.obs import capture as obs_capture
-
-        with obs_capture.observe(trace=args.trace is not None) as observation:
-            results_by_scenario = run_scenarios(
-                names, quick=args.quick, seed=args.seed,
-                workers=args.workers, grid=args.grid, cache=cache,
+    with sweep_session(**session_options(args)) as session:
+        results_by_scenario = {
+            name: run_scenario(
+                name, quick=args.quick, seed=args.seed, grid=args.grid
             )
-    else:
-        results_by_scenario = run_scenarios(
-            names, quick=args.quick, seed=args.seed,
-            workers=args.workers, grid=args.grid, cache=cache,
-        )
+            for name in names
+        }
 
     report = mechanism_matrix(results_by_scenario)
     print(report)
-    note = provenance_note(
-        workers=args.workers,
-        cache_delta=point_cache.stats().delta(cache_before),
-        pool_delta=parallel.pool_stats_delta(pool_before),
-    )
+    note = session.note()
     if note:
         print(f"\n({note})")
-
-    if observation is not None:
-        extra_parts = []
-        if args.metrics:
-            extra_parts.append(observation.metrics_registry().report())
-        if args.trace is not None:
-            doc = observation.export_chrome(args.trace)
-            extra_parts.append(
-                f"trace: {len(doc['traceEvents'])} trace events "
-                f"({observation.event_count()} scheduler events) -> "
-                f"{args.trace}"
-            )
-        print("\n" + "\n\n".join(extra_parts))
+    footer = session.report()
+    if footer:
+        print("\n" + footer)
 
     if not args.no_save:
         written = save_results(results_by_scenario, report, args.out_dir)

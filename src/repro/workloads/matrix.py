@@ -7,7 +7,9 @@ grid defines, times the scenario's variants) and returns a
 mechanism label and whose ``size`` axis is the scenario's sweep axis.
 Sweep points are independent (each builds a fresh testbed), so the grid
 fans out across worker processes through :mod:`repro.bench.parallel`
-with deterministically identical results.
+with deterministically identical results; the worker count and cache
+switch come from the enclosing
+:func:`~repro.bench.runner.sweep_session`.
 
 :func:`mechanism_matrix` renders the cross-scenario report: one
 figure-style table per scenario plus a per-scenario mechanism ranking
@@ -21,7 +23,7 @@ from functools import partial
 
 from repro.bench.config import BenchConfig
 from repro.bench.report import figure_table
-from repro.bench.runner import run_sweep
+from repro.bench.runner import run_sweep, sweep_session
 from repro.util.records import ResultSet
 from repro.workloads.base import Mechanism, mechanism_grid
 from repro.workloads.registry import Scenario, get
@@ -45,12 +47,12 @@ def run_scenario(
     seed: int = 0,
     workers: int | None = None,
     grid: str = "standard",
-    cache: bool | None = None,
 ) -> ResultSet:
     """Measure ``name`` across the mechanism grid; deterministic for a
     given seed (two runs serialize to byte-identical JSON, any worker
     count included — and whether points were computed or replayed from
-    the incremental cache)."""
+    the incremental cache).  ``workers=None`` inherits the enclosing
+    session's count."""
     sc = get(name)
     mechs = mechanism_grid(grid)
     configs = {
@@ -63,12 +65,11 @@ def run_scenario(
         warmup=0,
         sizes=sc.sweep_sizes(quick),
         seed=seed,
-        workers=workers,
-        cache=cache,
     )
-    return run_sweep(
-        f"workload-{name}", configs, cfg, extra=partial(_extra, sc.axis)
-    )
+    with sweep_session(workers=workers):
+        return run_sweep(
+            f"workload-{name}", configs, cfg, extra=partial(_extra, sc.axis)
+        )
 
 
 def rank_mechanisms(results: ResultSet) -> list[tuple[str, float]]:

@@ -16,7 +16,7 @@ from repro.bench import cache as bench_cache
 from repro.bench import locking
 from repro.bench.cache import PointCache, point_key
 from repro.bench.config import BenchConfig
-from repro.bench.runner import run_sweep
+from repro.bench.runner import run_sweep, sweep_session
 from repro.util.records import ResultSet
 from repro.workloads.matrix import run_scenario
 
@@ -98,23 +98,33 @@ class TestPointKey:
         other = dataclasses.replace(QUICK, iterations=12)
         assert self._key() != self._key(cfg=other)
 
-    def test_workers_and_cache_and_sizes_do_not_split_keys(self):
-        """Execution-only knobs must hit the same entries."""
+    def test_sizes_do_not_split_keys(self):
+        """The sibling size list must hit the same entries."""
         import dataclasses
 
-        for variant in (
-            dataclasses.replace(QUICK, workers=8),
-            dataclasses.replace(QUICK, cache=True),
-            dataclasses.replace(QUICK, sizes=(1, 2, 4)),
-        ):
-            assert self._key() == self._key(cfg=variant)
+        variant = dataclasses.replace(QUICK, sizes=(1, 2, 4))
+        assert self._key() == self._key(cfg=variant)
 
     def test_embedded_benchconfig_normalized(self):
         """A BenchConfig bound inside the partial (the figure idiom) is
         normalized the same way as the sweep config."""
         fn_seq = partial(_linear_point, 2.0, cfg=QUICK)
-        fn_par = partial(_linear_point, 2.0, cfg=QUICK.with_workers(8))
+        fn_par = partial(_linear_point, 2.0, cfg=QUICK.with_sizes([1, 2, 4]))
         assert self._key(fn=fn_seq) == self._key(fn=fn_par)
+
+    def test_runtime_version_splits_keys(self, monkeypatch):
+        """Python or numpy upgrades must not replay stale points: numpy
+        does not promise its Generator streams across versions."""
+        before = self._key()
+        python, numpy_version = bench_cache.runtime_versions()
+        monkeypatch.setattr(
+            bench_cache, "runtime_versions", lambda: (python, "0.0.0")
+        )
+        assert self._key() != before
+        monkeypatch.setattr(
+            bench_cache, "runtime_versions", lambda: ("2.7", numpy_version)
+        )
+        assert self._key() != before
 
     def test_obs_spec_splits_keys(self):
         assert self._key() != self._key(obs_spec=("obs", True, 1000))
@@ -219,9 +229,10 @@ class TestRunSweepCaching:
 
     def test_cache_off_measures_every_time(self, warm_cache):
         configs = {"a": partial(_counting_point)}
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2), cache=False)
-        run_sweep("exp", configs, cfg)
-        run_sweep("exp", configs, cfg)
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        with sweep_session(cache=False):
+            run_sweep("exp", configs, cfg)
+            run_sweep("exp", configs, cfg)
         assert _COUNTER == [1, 2, 1, 2]
 
     def test_unfingerprintable_points_always_measured(self, warm_cache):
@@ -275,7 +286,8 @@ class TestRunSweepCaching:
             "steep": partial(_linear_point, 3.0),
         }
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2, 4, 8))
-        cold = run_sweep("exp", configs, cfg, workers=2)
+        with sweep_session(workers=2):
+            cold = run_sweep("exp", configs, cfg)
         before = bench_cache.stats()
         warm = run_sweep("exp", configs, cfg)
         delta = bench_cache.stats().delta(before)
@@ -315,7 +327,8 @@ class TestFigureAndWorkloadWarmRuns:
     def test_fig3_warm_across_worker_counts(self, warm_cache):
         cold = locking.run_fig3(QUICK)
         for workers in (2, 4):
-            warm = locking.run_fig3(QUICK.with_workers(workers))
+            with sweep_session(workers=workers):
+                warm = locking.run_fig3(QUICK)
             assert warm.to_json() == cold.to_json()
 
 

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.bench import cache as bench_cache
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
-from repro.bench.runner import run_sweep
+from repro.bench.parallel import WORKERS_ENV
+from repro.bench.runner import run_sweep, sweep_session
+from repro.obs import capture as obs_capture
 
 
 class TestBenchConfig:
@@ -68,3 +71,38 @@ class TestRunSweep:
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1,))
         with pytest.raises(ValueError):
             run_sweep("exp", {"bad": lambda s: -1.0}, cfg)
+
+
+class TestSweepSession:
+    def test_defaults_from_env(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv(bench_cache.CACHE_ENV, "0")
+        with sweep_session() as session:
+            assert (session.workers, session.cache) == (3, False)
+        monkeypatch.delenv(WORKERS_ENV)
+        monkeypatch.setenv(bench_cache.CACHE_ENV, "1")
+        with sweep_session() as session:
+            assert (session.workers, session.cache) == (1, True)
+
+    def test_nested_session_inherits_unset_settings(self):
+        with sweep_session(workers=3, cache=False):
+            with sweep_session() as inner:
+                assert (inner.workers, inner.cache) == (3, False)
+            with sweep_session(workers=2, cache=True) as inner:
+                assert (inner.workers, inner.cache) == (2, True)
+
+    def test_observation_only_when_asked(self, tmp_path):
+        with sweep_session() as session:
+            assert session.observation is None
+            assert obs_capture.active() is None
+        assert session.report() == ""
+        with sweep_session(metrics=True) as session:
+            assert obs_capture.active() is session.observation
+            assert not session.observation.trace
+        assert obs_capture.active() is None
+        trace = str(tmp_path / "t.json")
+        with sweep_session(trace=trace) as session:
+            run_sweep("exp", {"a": lambda s: 1.0}, BenchConfig(sizes=(8,)))
+        assert session.observation.trace
+        assert session.report().startswith("trace: ")
+        assert (tmp_path / "t.json").exists()

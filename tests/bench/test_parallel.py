@@ -23,7 +23,7 @@ from repro.bench.parallel import (
     run_tasks,
     shutdown_pool,
 )
-from repro.bench.runner import run_sweep
+from repro.bench.runner import run_sweep, sweep_session
 from repro.util.records import ResultRecord, ResultSet
 
 #: reduced sweep: enough sizes to exercise the grid, small enough for CI
@@ -60,11 +60,14 @@ class TestWorkerResolution:
         with pytest.raises(ValueError):
             resolve_workers(-2)
 
-    def test_config_validates_workers(self):
+    def test_session_validates_workers(self):
         with pytest.raises(ValueError):
-            BenchConfig(workers=0)
-        assert BenchConfig(workers=2).workers == 2
-        assert BenchConfig().with_workers(4).workers == 4
+            with sweep_session(workers=0):
+                pass
+        with sweep_session(workers=2) as session:
+            assert session.workers == 2
+        with sweep_session(workers=4) as session:
+            assert session.workers == 4
 
 
 class TestPicklability:
@@ -140,8 +143,9 @@ class TestPersistentPool:
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2, 4))
         configs = {"a": partial(_linear_point, 1.0)}
         before = parallel.pool_stats()
-        run_sweep("exp-one", configs, cfg, workers=2)
-        run_sweep("exp-two", configs, cfg, workers=2)
+        with sweep_session(workers=2):
+            run_sweep("exp-one", configs, cfg)
+            run_sweep("exp-two", configs, cfg)
         delta = parallel.pool_stats_delta(before)
         assert delta["created"] <= 1
         assert delta["dispatched"] == 6
@@ -170,16 +174,19 @@ class TestPersistentPool:
 class TestSequentialFallbackWarning:
     def test_nonpicklable_with_workers_warns_naming_sweep(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with pytest.warns(RuntimeWarning, match="'my-sweep'.*--workers"):
-            run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg, workers=2)
+        with sweep_session(workers=2), pytest.warns(
+            RuntimeWarning, match="'my-sweep'.*--workers"
+        ):
+            run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg)
 
     def test_warning_is_one_time_per_sweep(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with pytest.warns(RuntimeWarning):
-            run_sweep("once", {"a": lambda s: 1.0}, cfg, workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_sweep("once", {"a": lambda s: 1.0}, cfg, workers=2)
+        with sweep_session(workers=2):
+            with pytest.warns(RuntimeWarning):
+                run_sweep("once", {"a": lambda s: 1.0}, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_sweep("once", {"a": lambda s: 1.0}, cfg)
 
     def test_sequential_run_does_not_warn(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
@@ -189,11 +196,9 @@ class TestSequentialFallbackWarning:
 
     def test_picklable_parallel_does_not_warn(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with warnings.catch_warnings():
+        with sweep_session(workers=2), warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_sweep(
-                "pickl", {"a": partial(_linear_point, 1.0)}, cfg, workers=2
-            )
+            run_sweep("pickl", {"a": partial(_linear_point, 1.0)}, cfg)
 
 
 class TestRunSweepParallel:
@@ -204,7 +209,8 @@ class TestRunSweepParallel:
             "steep": partial(_linear_point, 3.0),
         }
         seq = run_sweep("exp", configs, cfg)
-        par = run_sweep("exp", configs, cfg, workers=2)
+        with sweep_session(workers=2):
+            par = run_sweep("exp", configs, cfg)
         assert seq.to_json() == par.to_json()
         assert [r.sort_key() for r in seq] == [r.sort_key() for r in par]
 
@@ -216,14 +222,17 @@ class TestRunSweepParallel:
             calls.append(size)
             return float(size)
 
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            results = run_sweep("exp", {"a": closure_point}, cfg, workers=2)
+        with sweep_session(workers=2), pytest.warns(
+            RuntimeWarning, match="not picklable"
+        ):
+            results = run_sweep("exp", {"a": closure_point}, cfg)
         assert calls == [1, 2], "fallback must run in this very process"
         assert results.point("a", 2) == 2.0
 
-    def test_workers_from_config(self):
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2), workers=2)
-        results = run_sweep("exp", {"a": partial(_linear_point, 1.0)}, cfg)
+    def test_workers_from_session(self):
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        with sweep_session(workers=2):
+            results = run_sweep("exp", {"a": partial(_linear_point, 1.0)}, cfg)
         assert results.point("a", 2) == 3.0
 
     def test_workers_from_env(self, monkeypatch):
@@ -244,8 +253,8 @@ class TestRunSweepParallel:
 
     def test_nan_rejected_on_parallel_path(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(8, 16))
-        with pytest.raises(ValueError, match="non-finite"):
-            run_sweep("exp", {"bad": partial(_linear_point, math.nan)}, cfg, workers=2)
+        with sweep_session(workers=2), pytest.raises(ValueError, match="non-finite"):
+            run_sweep("exp", {"bad": partial(_linear_point, math.nan)}, cfg)
 
 
 class TestFigureDeterminism:
@@ -253,12 +262,14 @@ class TestFigureDeterminism:
 
     def test_fig3_parallel_identical(self):
         seq = locking.run_fig3(QUICK)
-        par = locking.run_fig3(QUICK.with_workers(2))
+        with sweep_session(workers=2):
+            par = locking.run_fig3(QUICK)
         assert seq.to_json() == par.to_json()
 
     def test_fig7_parallel_identical(self):
         seq = waiting.run_fig7(QUICK)
-        par = waiting.run_fig7(QUICK.with_workers(2))
+        with sweep_session(workers=2):
+            par = waiting.run_fig7(QUICK)
         assert seq.to_json() == par.to_json()
 
 

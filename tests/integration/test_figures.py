@@ -6,6 +6,7 @@ These use the quick sweeps; the benchmarks/ directory runs the full ones.
 import pytest
 
 from repro.bench import figures
+from repro.bench.parallel import WORKERS_ENV
 
 
 @pytest.mark.parametrize("name", sorted(figures.FIGURES))
@@ -37,6 +38,18 @@ def test_main_cli(capsys):
     assert figures.main(["lockcost", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "§3.1" in out or "spin" in out.lower()
+
+
+@pytest.mark.parametrize(
+    "flag, env", [(["--workers", "2"], None), ([], "2")], ids=["flag", "env"]
+)
+def test_main_cli_notes_worker_count(capsys, monkeypatch, flag, env):
+    """The footnote names the worker count whether it came from the
+    flag or from the environment."""
+    if env is not None:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    assert figures.main(["fig3", "--quick", *flag]) == 0
+    assert "(sweep: 2 worker processes; pool: " in capsys.readouterr().out
 
 
 def test_titles_cover_all_figures():

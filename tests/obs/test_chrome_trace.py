@@ -6,7 +6,7 @@ from functools import partial
 from repro.bench import locking
 from repro.bench.config import BenchConfig
 from repro.bench.pingpong import run_pingpong
-from repro.bench.runner import run_sweep
+from repro.bench.runner import run_sweep, sweep_session
 from repro.core import build_testbed
 from repro.obs import build_trace, observe, validate_trace
 from repro.obs.chrometrace import KNOWN_PHASES
@@ -135,8 +135,8 @@ class TestParallelTraceDeterminism:
             p: partial(locking.fig3_point, p, cfg=self.CFG)
             for p in ("none", "fine")
         }
-        with observe() as obs:
-            results = run_sweep("fig3", configs, self.CFG, workers=workers)
+        with observe() as obs, sweep_session(workers=workers):
+            results = run_sweep("fig3", configs, self.CFG)
         return results, build_trace(obs.captures())
 
     def test_parallel_trace_identical_to_sequential(self):
@@ -153,8 +153,8 @@ class TestParallelTraceDeterminism:
             p: partial(locking.fig3_point, p, cfg=self.CFG)
             for p in ("none", "fine")
         }
-        with observe() as obs:
-            run_sweep("fig3", configs, self.CFG, workers=2)
+        with observe() as obs, sweep_session(workers=2):
+            run_sweep("fig3", configs, self.CFG)
         labels = [c["label"] for c in obs.captures()]
         assert labels == [
             "fig3/none/8", "fig3/none/64", "fig3/fine/8", "fig3/fine/64",

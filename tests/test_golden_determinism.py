@@ -28,6 +28,7 @@ import hashlib
 import pytest
 
 from repro.bench.figures import FIGURES
+from repro.bench.runner import sweep_session
 from repro.workloads.matrix import run_scenario
 
 #: SHA-256 of ResultSet.to_json() for the fig3 locking sweep, --quick
@@ -49,7 +50,8 @@ class TestFigureGolden:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fig3_quick_workers_invariant(self, workers):
-        result_set, _checks = FIGURES["fig3"](True, workers=workers)
+        with sweep_session(workers=workers):
+            result_set, _checks = FIGURES["fig3"](True)
         assert _sha256(result_set.to_json()) == FIG3_QUICK_SHA256
 
 
@@ -63,7 +65,8 @@ class TestIncrementalCacheGolden:
         cold, _checks = FIGURES["fig3"](True)
         assert cold.digest() == FIG3_QUICK_SHA256
         for workers in (1, 4, 8):
-            warm, _checks = FIGURES["fig3"](True, workers=workers)
+            with sweep_session(workers=workers):
+                warm, _checks = FIGURES["fig3"](True)
             assert warm.digest() == FIG3_QUICK_SHA256, f"workers={workers}"
 
     def test_stencil_quick_cold_warm_and_workers(self, monkeypatch):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.parallel import WORKERS_ENV
 from repro.obs.chrometrace import validate_trace
 from repro.util.records import ResultSet
 from repro.workloads.cli import main
@@ -61,6 +62,18 @@ def test_deterministic_output_files(tmp_path, capsys):
         with open(f"{out_dir}/fanin.json", "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "flag, env", [(["--workers", "2"], None), ([], "2")], ids=["flag", "env"]
+)
+def test_note_reports_worker_count(capsys, monkeypatch, flag, env):
+    """The footnote names the worker count whether it came from the
+    flag or from the environment."""
+    if env is not None:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    assert main(["--scenario", "fanin", "--quick", "--no-save", *flag]) == 0
+    assert "(sweep: 2 worker processes; pool: " in capsys.readouterr().out
 
 
 @pytest.mark.slow

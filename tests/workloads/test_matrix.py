@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.runner import sweep_session
 from repro.util.records import ResultRecord, ResultSet
 from repro.workloads.base import Mechanism, mechanism_grid
 from repro.workloads.matrix import (
@@ -46,7 +47,8 @@ class TestRunScenario:
 
     def test_workers_match_sequential(self):
         seq = run_scenario("fanin", quick=True, seed=1)
-        par = run_scenario("fanin", quick=True, seed=1, workers=2)
+        with sweep_session(workers=2):
+            par = run_scenario("fanin", quick=True, seed=1)
         assert seq.to_json() == par.to_json()
 
     def test_variants_become_their_own_series(self):
