@@ -30,36 +30,6 @@ def measure_spin_cycle_ns(cycles: int = 1_000) -> float:
     return engine.now / cycles
 
 
-def measure_contended_handoff_ns(iterations: int = 200) -> float:
-    """Average extra wait a contender pays when the lock is held for a
-    fixed 500 ns critical section."""
-    if iterations <= 0:
-        raise ValueError("iterations must be > 0")
-    engine = Engine()
-    machine = Machine(engine, quad_xeon_x5460())
-    lock = SpinLock("bench", costs=machine.costs)
-    hold_ns = 500
-
-    def holder():
-        for _ in range(iterations):
-            yield Acquire(lock)
-            yield Delay(hold_ns)
-            yield Release(lock)
-            yield Delay(hold_ns)  # window for the contender
-
-    def contender():
-        for _ in range(iterations):
-            yield Acquire(lock)
-            yield Release(lock)
-            yield Delay(hold_ns)
-
-    th = machine.scheduler.spawn(holder(), name="h", core=0, bound=True)
-    tc = machine.scheduler.spawn(contender(), name="c", core=1, bound=True)
-    engine.run(until=lambda: th.done and tc.done)
-    spin_ns = machine.cores[1].busy_ns("spin")
-    return spin_ns / max(lock.contentions, 1)
-
-
 def lock_cycles_per_message(policy: str) -> float:
     """Spinlock acquisitions on one message's path (the paper's 'held and
     released twice' accounting for coarse grain; three points for fine).
@@ -76,8 +46,6 @@ def lock_cycles_per_message(policy: str) -> float:
         yield from lib.wait(req)
 
     def receiver():
-        from repro.sim import Delay
-
         lib = bed.lib(1)
         req = yield from lib.irecv(0, 3, 8)
         yield Delay(50_000)  # message is in the NIC ring by now

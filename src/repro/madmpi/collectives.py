@@ -42,17 +42,6 @@ def _recv(comm: "Communicator", source: int, tag: int) -> SimGen:
     return payload
 
 
-def _exchange(comm: "Communicator", obj: Any, peer: int, tag: int) -> SimGen:
-    """Simultaneous send+recv with ``peer`` (deadlock-free)."""
-    from repro.madmpi.datatypes import BYTE
-    from repro.madmpi.mpi import _object_size
-
-    rreq = yield from comm.Irecv(peer, 1 << 30, BYTE, tag)
-    sreq = yield from comm.Isend(peer, _object_size(obj), BYTE, tag, payload=obj)
-    yield from comm.Waitall([sreq, rreq])
-    return rreq.payload
-
-
 def barrier(comm: "Communicator") -> SimGen:
     """Dissemination barrier: round k exchanges with rank ± 2^k."""
     tag = comm._coll_tag()

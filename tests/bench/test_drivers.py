@@ -5,7 +5,6 @@ import pytest
 from repro.bench.affinity import dedicated_core_loss, dedicated_core_throughput
 from repro.bench.lockcost import (
     lock_cycles_per_message,
-    measure_contended_handoff_ns,
     measure_spin_cycle_ns,
 )
 from repro.bench.overlap import OFFLOAD_MODES, build_overlap_bed, run_overlap
@@ -89,9 +88,6 @@ class TestLockcost:
     def test_spin_cycle_is_70ns(self):
         assert measure_spin_cycle_ns(500) == pytest.approx(70, abs=2)
 
-    def test_contended_handoff_positive(self):
-        assert measure_contended_handoff_ns(50) > 0
-
     @pytest.mark.parametrize(
         "policy,expected", [("none", 0), ("coarse", 2), ("fine", 3)]
     )
@@ -101,5 +97,3 @@ class TestLockcost:
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_spin_cycle_ns(0)
-        with pytest.raises(ValueError):
-            measure_contended_handoff_ns(0)
