@@ -50,7 +50,7 @@ def run_burst(strategy_factory) -> tuple[float, int]:
 
     ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
     tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run(until=lambda: ts.done and tr.done)
+    bed.run_until_done(ts, tr)
     return done["at"] / 1000, bed.lib(0).packets_posted[PacketKind.DATA]
 
 

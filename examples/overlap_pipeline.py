@@ -69,7 +69,7 @@ def run(config: str) -> float:
     tc = bed.machine(1).scheduler.spawn(
         consumer(bed, bed.lib(1), 0, done), name="consumer", core=0, bound=True
     )
-    bed.run(until=lambda: tp.done and tc.done)
+    bed.run_until_done(tp, tc)
     return done["at"] / 1000
 
 

@@ -83,7 +83,7 @@ def decompose_message(
 
     ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
     tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run(until=lambda: ts.done and tr.done)
+    bed.run_until_done(ts, tr)
 
     sreq = state[f"send{warmup_messages}"]
     rreq = state[f"recv{warmup_messages}"]

@@ -10,9 +10,10 @@ claim is equivalent to a flat offset).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class OffsetFit:
 def _paired(
     base: Sequence[tuple[int, float]], other: Sequence[tuple[int, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     base_map = dict(base)
     other_map = dict(other)
     sizes = sorted(set(base_map) & set(other_map))
@@ -55,6 +58,8 @@ def constant_offset(
     Series are ``(size, latency)`` pairs in any order; latencies may be in
     any unit (the offset comes back in the same unit).
     """
+    import numpy as np
+
     b, o = _paired(base, other)
     diffs = o - b
     return OffsetFit(

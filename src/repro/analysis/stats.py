@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -36,6 +34,8 @@ class Summary:
 
 def summarize(sample: Sequence[float]) -> Summary:
     """Compute a :class:`Summary`; rejects empty samples loudly."""
+    import numpy as np
+
     if len(sample) == 0:
         raise ValueError("cannot summarize an empty sample")
     arr = np.asarray(sample, dtype=float)
@@ -57,6 +57,8 @@ def trimmed_mean(sample: Sequence[float], trim: float = 0.1) -> float:
     warmup stragglers in rt measurements)."""
     if not 0 <= trim < 0.5:
         raise ValueError("trim must be in [0, 0.5)")
+    import numpy as np
+
     if len(sample) == 0:
         raise ValueError("cannot average an empty sample")
     arr = np.sort(np.asarray(sample, dtype=float))

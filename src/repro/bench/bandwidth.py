@@ -57,7 +57,7 @@ def stream_bandwidth_mbps(
 
     ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
     tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run(until=lambda: ts.done and tr.done)
+    bed.run_until_done(ts, tr)
     total_bytes = messages * size
     seconds = done["at"] / 1e9
     return total_bytes / seconds / 1e6

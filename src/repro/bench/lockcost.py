@@ -26,7 +26,7 @@ def measure_spin_cycle_ns(cycles: int = 1_000) -> float:
             yield Release(lock)
 
     t = machine.scheduler.spawn(worker(), name="w", core=0)
-    engine.run(until=lambda: t.done)
+    engine.run_until_done(t)
     return engine.now / cycles
 
 
@@ -54,7 +54,7 @@ def lock_cycles_per_message(policy: str) -> float:
 
     ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
     tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run(until=lambda: ts.done and tr.done)
+    bed.run_until_done(ts, tr)
     acquisitions = sum(
         lock.acquisitions
         for lib in bed.libs

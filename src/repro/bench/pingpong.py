@@ -157,7 +157,7 @@ def run_pingpong(
         core=core_b,
         bound=True,
     )
-    bed.run(until=lambda: ta.done and tb.done)
+    bed.run_until_done(ta, tb)
     return PingPongResult(size=size, rtts_ns=rtts, warmup=warmup)
 
 
@@ -214,7 +214,7 @@ def run_concurrent_pingpong(
             bound=True,
         )
         flows.append((ta, tb, rtts))
-    bed.run(until=lambda: all(a.done and b.done for a, b, _ in flows))
+    bed.run_until_done(*(t for ta, tb, _ in flows for t in (ta, tb)))
     return [
         PingPongResult(size=size, rtts_ns=rtts, warmup=warmup) for _, _, rtts in flows
     ]

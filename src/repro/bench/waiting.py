@@ -124,7 +124,7 @@ def run_fixed_spin_sweep(
 
             tr = bed.machine(0).scheduler.spawn(receiver(), name="r", core=0, bound=True)
             ts = bed.machine(1).scheduler.spawn(sender(), name="s", core=0, bound=True)
-            bed.run(until=lambda: tr.done and ts.done)
+            bed.run_until_done(tr, ts)
         steady = waited[warmup:]
         mean_us = sum(steady) / len(steady) / 1_000
         results.add(

@@ -198,15 +198,10 @@ class NewMadeleine:
         """Lock-free doorbell check: is there anything a progress pass would
         do right now?  (Real drivers read a completion counter without
         taking any lock.)"""
-        if self._pending_cts or self._pending_rdv_data:
-            return True
-        if any(d.rx_pending for d in self.drivers):
-            return True
-        if self.collect.has_pending and any(d.tx_idle for d in self.drivers):
-            return True
-        return any(
-            d.tx_idle and self.transfer.pending(d) for d in self.drivers
-        )
+        for d in self.drivers:
+            if d.rx_pending:
+                return True
+        return self._send_work_pending()
 
     def pending_incomplete(self) -> int:
         """Unfinished send requests the library still tracks."""
@@ -514,9 +509,15 @@ class NewMadeleine:
     def _send_work_pending(self) -> bool:
         if self._pending_cts or self._pending_rdv_data:
             return True
-        if self.collect.has_pending and any(d.tx_idle for d in self.drivers):
-            return True
-        return any(d.tx_idle and self.transfer.pending(d) for d in self.drivers)
+        if self.collect.has_pending:
+            for d in self.drivers:
+                if d.tx_idle:
+                    return True
+        if self.transfer.has_pending:
+            for d in self.drivers:
+                if d.tx_idle and self.transfer.pending(d):
+                    return True
+        return False
 
     def _send_side_pass(self) -> SimGen:
         """Flush owed control packets, assemble data packets, drain the

@@ -21,6 +21,7 @@ from repro.obs import capture as obs_capture
 from repro.sim.costs import SimCosts
 from repro.sim.engine import Engine
 from repro.sim.machine import Machine
+from repro.sim.process import SimThread
 from repro.sim.rng import RngHub
 from repro.sim.topology import CacheTopology, quad_xeon_x5460
 
@@ -43,12 +44,25 @@ class TestBed:
         return self.machines[node]
 
     def run(self, until: Callable[[], bool], *, max_time: int | None = None) -> None:
-        """Run the engine, then surface any simulated-thread failure."""
+        """Run the engine until ``until()`` holds, then surface any
+        simulated-thread failure.  To wait for threads, use
+        :meth:`run_until_done`."""
         try:
             self.engine.run(until=until, max_time=max_time)
         finally:
-            for machine in self.machines:
-                machine.check_failures()
+            self.check_failures()
+
+    def run_until_done(self, *threads: SimThread, max_time: int | None = None) -> None:
+        """Run the engine until every thread in ``threads`` has finished
+        (:meth:`Engine.run_until_done`), then surface any failure."""
+        try:
+            self.engine.run_until_done(*threads, max_time=max_time)
+        finally:
+            self.check_failures()
+
+    def check_failures(self) -> None:
+        for machine in self.machines:
+            machine.check_failures()
 
     def shutdown(self) -> None:
         for machine in self.machines:

@@ -619,5 +619,5 @@ def run_ranks(
         )
         for comm in comms
     ]
-    bed.run(until=lambda: all(t.done for t in threads), max_time=max_time)
+    bed.run_until_done(*threads, max_time=max_time)
     return [t.result for t in threads]

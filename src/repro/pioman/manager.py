@@ -142,9 +142,10 @@ class PIOMan:
         """
         if self._pending:
             return True
-        return any(
-            lib.has_work() or lib.has_pending_requests() for lib in self.libs
-        )
+        for lib in self.libs:
+            if lib.has_work() or lib.has_pending_requests():
+                return True
+        return False
 
     def __repr__(self) -> str:
         return (

@@ -12,7 +12,7 @@ Typical setup::
     engine = Engine()
     node = Machine(engine, quad_xeon_x5460(), name="nodeA")
     thread = node.scheduler.spawn(my_generator(), name="app", core=0, bound=True)
-    engine.run(until=lambda: thread.done)
+    engine.run_until_done(thread)
 """
 
 from repro.sim.costs import SimCosts

@@ -74,13 +74,15 @@ class Engine:
         #: FIFO, drained after the heap's entries for this timestamp
         self._bucket: list[tuple] = []
         #: index of the next unconsumed bucket entry (persisted so an
-        #: `until` exit can resume mid-bucket)
+        #: early exit can resume mid-bucket)
         self._pos = 0
         self._seq = 0
         #: scheduled, not-yet-run, not-cancelled events (O(1) pending())
         self._live = 0
         self._events_run = 0
         self._running = False
+        #: set by :meth:`stop`; the running loop returns after the event
+        self._stopping = False
 
     # -- scheduling -----------------------------------------------------------
 
@@ -153,6 +155,50 @@ class Engine:
 
     # -- execution -------------------------------------------------------------
 
+    def stop(self) -> None:
+        """Make the running :meth:`run` return after the current event.
+
+        The queue stays intact, so a later :meth:`run` resumes where this
+        one stopped.  Outside a run this does nothing.
+        """
+        if self._running:
+            self._stopping = True
+
+    def run_until_done(self, *threads: Any, max_time: int | None = None) -> None:
+        """Run until every thread in ``threads`` has finished.
+
+        Completion is signalled by the threads' ``on_finish`` callbacks, so
+        no predicate runs per event; the run ends after the event in which
+        the last thread finishes.  Returns at once, running nothing, when
+        every thread is already done.
+
+        Raises:
+            SimDeadlock: the queue drained with threads still unfinished
+                (they are named in the message).
+            SimTimeLimit: the clock would pass ``max_time``.
+        """
+        waiting = [t for t in threads if not t.done]
+        if not waiting:
+            return
+        left = [len(waiting)]
+
+        def finished(_thread: Any) -> None:
+            left[0] -= 1
+            if left[0] == 0:
+                self.stop()
+
+        for thread in waiting:
+            thread.on_finish(finished)
+        try:
+            if self.run(max_time=max_time) == "drained":
+                stuck = [t.name for t in waiting if not t.done]
+                raise SimDeadlock(
+                    f"event queue drained at t={self.now} ns with threads "
+                    f"still unfinished: {stuck}"
+                )
+        finally:
+            left[0] = -1  # a callback firing in a later run stops nothing
+
     def run(
         self,
         until: Callable[[], bool] | None = None,
@@ -164,14 +210,17 @@ class Engine:
 
         Args:
             until: optional predicate checked after every event; the loop
-                stops as soon as it returns True.
+                stops as soon as it returns True.  To wait for threads to
+                finish, use :meth:`run_until_done` instead: it costs
+                nothing per event.
             max_time: raise :class:`SimTimeLimit` if the clock would pass
                 this absolute time (safety net against runaway idle loops).
             max_events: raise :class:`SimTimeLimit` after this many events.
 
         Returns:
-            ``"until"`` if the predicate stopped the run, ``"drained"`` if
-            the event queue emptied first.
+            ``"stopped"`` if an event called :meth:`stop`, ``"until"`` if
+            the predicate stopped the run, ``"drained"`` if the event queue
+            emptied first.
 
         Raises:
             SimDeadlock: the queue drained while ``until`` was given and
@@ -214,6 +263,8 @@ class Engine:
                         self._live -= 1
                         events_this_run += 1
                         entry[2](*entry[3])
+                        if self._stopping:
+                            return "stopped"
                         if until is not None and until():
                             return "until"
                         continue
@@ -233,6 +284,8 @@ class Engine:
                     self._live -= 1
                     events_this_run += 1
                     entry[0](*entry[1])
+                    if self._stopping:
+                        return "stopped"
                     if until is not None and until():
                         return "until"
                     continue
@@ -264,3 +317,4 @@ class Engine:
             self._pos = pos
             self._events_run += events_this_run
             self._running = False
+            self._stopping = False

@@ -36,7 +36,10 @@ class HookRegistry:
     """Per-machine registry of scheduler hooks."""
 
     def __init__(self) -> None:
-        self._idle: list[HookFn] = []
+        #: the idle hooks, replaced (never mutated) on (un)registration, so
+        #: an idle pass iterating it runs a snapshot: a hook that
+        #: unregisters itself mid-pass does not cut the pass short
+        self.idle_hooks: tuple[HookFn, ...] = ()
         self._ctx_switch: list[HookFn] = []
         self._timer: list[HookFn] = []
         self._demand: list[DemandFn] = []
@@ -44,7 +47,7 @@ class HookRegistry:
     # -- registration ----------------------------------------------------------
 
     def register_idle(self, fn: HookFn) -> None:
-        self._idle.append(fn)
+        self.idle_hooks = (*self.idle_hooks, fn)
 
     def register_ctx_switch(self, fn: HookFn) -> None:
         self._ctx_switch.append(fn)
@@ -56,28 +59,22 @@ class HookRegistry:
         self._demand.append(fn)
 
     def unregister_idle(self, fn: HookFn) -> None:
-        self._idle.remove(fn)
+        hooks = list(self.idle_hooks)
+        hooks.remove(fn)
+        self.idle_hooks = tuple(hooks)
 
     @property
     def has_idle_hooks(self) -> bool:
-        return bool(self._idle)
+        return bool(self.idle_hooks)
 
     # -- invocation ---------------------------------------------------------------
 
     def idle_demand(self) -> bool:
         """True when some component wants the idle loops to keep polling."""
-        return any(fn() for fn in self._demand)
-
-    def run_idle(self, core: "Core") -> Generator[Any, Any, bool]:
-        """Run every idle hook once (full effect context).
-
-        Returns True if any hook reports having done work.
-        """
-        ran = False
-        for fn in list(self._idle):
-            result = yield from fn(core)
-            ran = ran or bool(result)
-        return ran
+        for fn in self._demand:
+            if fn():
+                return True
+        return False
 
     def inline_hooks(self, kind: str) -> list[HookFn]:
         """The interrupt-context hooks of the given kind

@@ -188,8 +188,8 @@ class SimThread:
         self.gen = gen
         self.name = name
         self.state = ThreadState.NEW
-        #: plain attribute, not a property: the `until` predicates of every
-        #: benchmark poll it once per event, so the attribute read matters
+        #: plain attribute, not a property: a `run(until=...)` predicate
+        #: may read it after every event, so the attribute read matters
         self.done = False
         #: preferred/bound core index (None = any)
         self.core = core

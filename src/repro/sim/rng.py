@@ -10,8 +10,10 @@ consumer never perturbs another component's sequence.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class RngHub:
@@ -35,6 +37,8 @@ class RngHub:
         """
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np  # loaded on the first draw, not at import
+
             digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
             child_seed = int.from_bytes(digest[:8], "little")
             gen = np.random.default_rng(child_seed)

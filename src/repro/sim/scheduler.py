@@ -503,23 +503,29 @@ class Marcel:
     # ---------------------------------------------------------------- idle loop
 
     def _idle_loop(self, core: Core) -> SimGen:
-        costs = self.costs
         machine = self.machine
         hooks = machine.hooks
+        # one effect object each for the whole loop (the scheduler only
+        # reads effects): an idle poll pass allocates nothing
+        yield_core = YieldCore()
+        spin = Delay(self.costs.idle_loop_ns, "idle")
+        tick = Sleep(self.costs.idle_tick_ns)
+        park = Sleep(None)
         while machine.active:
             if core.runq:
-                yield YieldCore()
+                yield yield_core
                 continue
-            yield Delay(costs.idle_loop_ns, "idle")
-            ran = yield from hooks.run_idle(core)
+            yield spin
+            ran = False
+            # the tuple is a snapshot: (un)registration replaces it
+            for fn in hooks.idle_hooks:
+                if (yield from fn(core)):
+                    ran = True
             if not machine.active or core.runq:
                 continue
             if ran:
                 continue
-            if hooks.idle_demand():
-                yield Sleep(costs.idle_tick_ns)
-            else:
-                yield Sleep(None)
+            yield tick if hooks.idle_demand() else park
 
     # ---------------------------------------------------------------- stats
 

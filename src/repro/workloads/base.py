@@ -203,9 +203,7 @@ def run_workload(
         for comm in comms
     ]
     try:
-        bed.run(
-            until=lambda: all(t.done for t in threads), max_time=max_time_ns
-        )
+        bed.run_until_done(*threads, max_time=max_time_ns)
     except SimTimeLimit:
         pass
     if not all(t.done for t in threads):

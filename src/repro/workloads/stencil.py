@@ -18,15 +18,16 @@ numpy payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.madmpi import Communicator
 from repro.sim.process import Delay, SimGen
 from repro.sim.sync import Semaphore
 from repro.workloads.base import WorkloadRun, run_workload, spawn_joinable
 from repro.workloads.registry import Scenario, register
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: default scenario shape
 RANKS = 4
@@ -61,7 +62,9 @@ def _rank_program(
     machine = comm.lib.machine
     ncores = machine.ncores
     u = None
-    if u0 is not None:
+    if u0 is not None:  # physics form: the synthetic form never loads numpy
+        import numpy as np
+
         points = len(u0) // size
         u = u0[rank * points : (rank + 1) * points].copy()
 

@@ -1,5 +1,9 @@
 """Unit tests for Machine and Core accounting."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.sim import (
@@ -122,3 +126,27 @@ class TestRngHub:
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngHub("x")
+
+    def test_numpy_loaded_on_first_draw_only(self):
+        """Importing the simulator, the harness and the workloads, and
+        running a synthetic stencil (no jitter, no physics), leaves numpy
+        unloaded; the first jitter draw loads it.  Runs in a fresh
+        interpreter: this one has numpy loaded already."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.bench import figures, parallel\n"
+            "from repro.madmpi import create_world\n"
+            "from repro.pioman import integration\n"
+            "from repro.workloads import matrix, stencil\n"
+            "from repro.sim import RngHub\n"
+            "stencil.run_stencil('fine/passive/idle', steps=2)\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded before a draw'\n"
+            "RngHub(0).jitter_ns('j', 10)\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

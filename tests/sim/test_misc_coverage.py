@@ -9,6 +9,7 @@ from repro.sim import (
     Engine,
     Machine,
     SimCosts,
+    ThreadState,
     quad_xeon_x5460,
 )
 from repro.sim.hooks import HookRegistry
@@ -76,6 +77,63 @@ class TestHookRegistry:
         reg.register_demand(lambda: False)
         reg.register_demand(lambda: True)
         assert reg.idle_demand() is True
+
+
+class TestIdleLoopHooks:
+    """The idle loop runs the idle hooks itself, one pass per poll."""
+
+    def _machine(self):
+        eng = Engine()
+        return eng, Machine(eng, quad_xeon_x5460(), name="A")
+
+    def test_pass_runs_a_snapshot_of_the_hooks(self):
+        eng, m = self._machine()
+        calls = []
+
+        def once(core):
+            m.hooks.unregister_idle(once)
+            yield Delay(5, "poll")
+            calls.append(("once ended", eng.now))
+            return False
+
+        def every(core):
+            calls.append(("every began", eng.now))
+            yield Delay(5, "poll")
+            return False
+
+        m.hooks.register_idle(once)
+        m.hooks.register_idle(every)
+        m.hooks.register_demand(lambda: True)
+        m.enable_idle_loops(cores=[0])
+        eng.run(until=lambda: len(calls) >= 4, max_time=1_000_000)
+        # the pass that unregistered `once` still ran every hook it started
+        # with: `every` followed `once` directly, not a poll tick later
+        (first, t_once), (second, t_every) = calls[:2]
+        assert (first, second) == ("once ended", "every began")
+        assert t_every == t_once
+        assert [name for name, _ in calls].count("once ended") == 1
+        assert once not in m.hooks.idle_hooks
+
+    def test_any_hook_reporting_work_keeps_the_core_polling(self):
+        eng, m = self._machine()
+        passes = []
+
+        def busy_for_three(core):
+            passes.append(eng.now)
+            yield Delay(5, "poll")
+            return len(passes) <= 3
+
+        def never(core):
+            yield Delay(5, "poll")
+            return False
+
+        # no demand provider: only reported work keeps the loop going
+        m.hooks.register_idle(busy_for_three)
+        m.hooks.register_idle(never)
+        m.enable_idle_loops(cores=[0])
+        assert eng.run() == "drained"
+        assert len(passes) == 4
+        assert m.cores[0].idle_thread.state is ThreadState.SLEEPING
 
 
 class TestEngineEdges:
