@@ -29,9 +29,9 @@ Key material, in order:
   must ride along — entries recorded without a capture never satisfy an
   observed run.
 
-Entries live one-per-file under ``objects/<k[:2]>/<key>.pkl`` beside an
-``index.json`` of per-entry provenance.  A corrupted entry is discarded
-*loudly* (``RuntimeWarning`` + invalidation counter), never served.
+Entries live one-per-file under ``objects/<k[:2]>/<key>.pkl``; the key
+is the only index.  A corrupted entry is discarded *loudly*
+(``RuntimeWarning`` + invalidation counter), never served.
 
 Opt-outs: ``REPRO_BENCH_CACHE=0`` (environment) or ``--no-cache`` on the
 figure/workload CLIs; ``REPRO_BENCH_CACHE_DIR`` relocates the store.
@@ -45,13 +45,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import json
 import os
 import pickle
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 #: set to ``0``/``false``/``no``/``off`` to disable the cache entirely
 CACHE_ENV = "REPRO_BENCH_CACHE"
@@ -266,7 +265,7 @@ def point_key(
 
 
 class PointCache:
-    """One content-addressed store directory plus its provenance index.
+    """One content-addressed store directory.
 
     Only the sweep's parent process reads and writes the store — worker
     processes never touch it — so no cross-process locking is needed and
@@ -275,16 +274,11 @@ class PointCache:
 
     def __init__(self, root: os.PathLike | str | None = None) -> None:
         self.root = Path(root) if root is not None else cache_dir()
-        self._pending_index: dict[str, dict] = {}
 
     # the two leading key characters shard the object directory so no
     # single directory accumulates every entry
     def _entry_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.pkl"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
 
     def get(self, key: str, *, need_capture: bool = False) -> dict | None:
         """Load one entry; ``None`` (and a miss) when absent or unusable.
@@ -332,12 +326,7 @@ class PointCache:
         return entry
 
     def put(
-        self,
-        key: str,
-        *,
-        latency_us: float,
-        capture: dict | None = None,
-        meta: Mapping[str, Any] | None = None,
+        self, key: str, *, latency_us: float, capture: dict | None = None
     ) -> None:
         """Store one measured point (atomic rename, parent process only)."""
         entry = {
@@ -351,29 +340,6 @@ class PointCache:
         tmp.write_bytes(pickle.dumps(entry, protocol=4))
         os.replace(tmp, path)
         _stats.stores += 1
-        self._pending_index[key] = dict(meta or {})
-
-    def flush_index(self) -> None:
-        """Merge this run's new entries into ``index.json`` (one write per
-        sweep, not per point)."""
-        if not self._pending_index:
-            return
-        index: dict[str, dict] = {}
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if not isinstance(index, dict):
-                index = {}
-        except (OSError, ValueError):
-            index = {}
-        index.update(self._pending_index)
-        self._pending_index = {}
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_path.with_name(f".index.{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(index, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, self.index_path)
 
     # -- maintenance ----------------------------------------------------------
 

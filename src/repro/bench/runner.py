@@ -11,9 +11,11 @@ optimisations meet:
   simulated — warm points replay their stored latency (and observation
   blob), only cold points are measured, and fresh measurements are stored
   back;
-* the **persistent worker pool** (:mod:`repro.bench.parallel`): the cold
-  points fan out over a process pool shared across every sweep of the
-  suite run, scheduled dynamically so skewed grids load-balance.
+* the **persistent worker pool** (:mod:`repro.bench.parallel`): with
+  ``workers > 1`` the cold points go through the ordered ``imap`` of a
+  process pool shared across every sweep of the suite run, one point per
+  dispatch so skewed grids load-balance; otherwise they run in this
+  process.
 
 Both are pure wall-clock optimisations: the returned ResultSet has the
 same records in the same order with the same JSON serialization whether
@@ -32,7 +34,6 @@ import argparse
 import contextlib
 import dataclasses
 import math
-import warnings
 from typing import Callable, Iterator, Mapping
 
 from repro.bench import cache as point_cache
@@ -43,10 +44,6 @@ from repro.util.records import ResultRecord, ResultSet
 
 #: measures one (config, size) point; returns latency in microseconds
 PointFn = Callable[[int], float]
-
-#: sweeps already warned about the sequential fallback (one warning per
-#: experiment per process, not one per point)
-_warned_fallback: set[str] = set()
 
 
 @dataclasses.dataclass
@@ -183,21 +180,6 @@ def session_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _warn_sequential_fallback(experiment: str) -> None:
-    """One-time warning: ``workers > 1`` requested but the sweep's point
-    functions cannot cross a process boundary."""
-    if experiment in _warned_fallback:
-        return
-    _warned_fallback.add(experiment)
-    warnings.warn(
-        f"sweep {experiment!r}: point functions are not picklable "
-        f"(closures/lambdas), so --workers has no effect here; running "
-        f"sequentially in-process",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def _check_latency(name: str, size: int, latency_us: float) -> None:
     """Reject non-finite (NaN/inf) and negative latencies loudly.
 
@@ -227,12 +209,18 @@ def run_sweep(
     fully independent, like separate benchmark runs on the paper's cluster —
     which is what makes the grid embarrassingly parallel *and* cacheable.
 
-    Workers and cache come from the active :func:`sweep_session`.  A
-    ``workers > 1`` sweep whose point functions cannot be pickled
-    (lambdas, closures) falls back to the sequential path with a one-time
-    warning.  With the cache on, every fingerprintable point is looked up
-    before measuring and stored after; a warm re-run replays the whole
-    grid without building a single testbed.
+    Workers and cache come from the active :func:`sweep_session`.  Every
+    point the cache cannot serve becomes one ``(fn, size, spec)`` task.
+    With ``workers > 1`` and more than one task, the tasks run on the
+    persistent pool (:func:`repro.bench.parallel.imap_points`), so point
+    functions must be picklable — ``functools.partial`` over module-level
+    functions; ``extra`` runs only in this process and may be anything.
+    Otherwise the tasks run here, in order.  A point that fails — a
+    lambda that cannot be pickled included — raises ``RuntimeError``
+    naming the sweep and the point.  With the cache on, every
+    fingerprintable point is looked up before measuring and stored after;
+    a warm re-run replays the whole grid without building a single
+    testbed.
 
     While an observation is active, every point runs under its own nested
     observation — in this process or on a worker — and its serialized
@@ -257,10 +245,6 @@ def run_sweep(
         for name, fn in configs.items()
         for size in cfg.sizes
     ]
-    picklable = parallel.points_picklable(configs, extra)
-    if nworkers > 1 and len(points) > 1 and not picklable:
-        _warn_sequential_fallback(experiment)
-
     store = point_cache.PointCache() if use_cache else None
     keys: list[str | None] = [None] * len(points)
     latencies: list[float | None] = [None] * len(points)
@@ -286,33 +270,26 @@ def run_sweep(
             blobs[i] = entry.get("capture")
 
     miss_idx = [i for i, v in enumerate(latencies) if v is None]
-    tasks = [
-        points[i] if spec is None else (*points[i], spec) for i in miss_idx
-    ]
-    if nworkers > 1 and len(tasks) > 1 and picklable:
-        outcomes = parallel.run_tasks(tasks, nworkers)
+    tasks = [(points[i][1], points[i][2], spec) for i in miss_idx]
+    if nworkers > 1 and len(tasks) > 1:
+        outcomes = parallel.imap_points(tasks, nworkers)
     else:
         outcomes = map(parallel.measure_point, tasks)
 
-    for i, outcome in zip(miss_idx, outcomes):
+    for i in miss_idx:
         name, _fn, size = points[i]
-        latency_us, blob = outcome if spec is not None else (outcome, None)
+        try:
+            latency_us, blob = next(outcomes)
+        except Exception as exc:
+            raise RuntimeError(
+                f"sweep {experiment!r}: point {name!r} at size {size} "
+                f"failed: {exc!r}"
+            ) from exc
         _check_latency(name, size, latency_us)
         latencies[i] = latency_us
         blobs[i] = blob
         if store is not None and keys[i] is not None:
-            store.put(
-                keys[i],
-                latency_us=latency_us,
-                capture=blob,
-                meta={
-                    "experiment": experiment,
-                    "config": name,
-                    "size": size,
-                    "seed": cfg.seed,
-                    "observed": blob is not None,
-                },
-            )
+            store.put(keys[i], latency_us=latency_us, capture=blob)
 
     results = ResultSet()
     for i, (name, _fn, size) in enumerate(points):
@@ -327,6 +304,4 @@ def run_sweep(
                 extra=extra(name, size) if extra else {},
             )
         )
-    if store is not None:
-        store.flush_index()
     return results

@@ -138,6 +138,8 @@ class NewMadeleine:
         #: per-driver (Acquire, Release) pairs for the rx/tx lock points
         self._rx_eff: dict[str, tuple[Acquire, Release]] = {}
         self._tx_eff: dict[str, tuple[Acquire, Release]] = {}
+        #: per-driver answer of ``policy.poll_needs_lock`` (fixed per driver)
+        self._poll_locked: dict[str, bool] = {}
 
     def _rx_lock_eff(self, driver: "Driver") -> tuple[Acquire, Release]:
         eff = self._rx_eff.get(driver.name)
@@ -308,7 +310,10 @@ class NewMadeleine:
             # Finer policies probe thread-safe NICs lock-free; the pop and
             # the processing always share one rx-lock hold, so concurrent
             # pollers can never process arrivals out of order.
-            locked_poll = self.policy.poll_needs_lock(driver)
+            locked_poll = self._poll_locked.get(driver.name)
+            if locked_poll is None:
+                locked_poll = self.policy.poll_needs_lock(driver)
+                self._poll_locked[driver.name] = locked_poll
             probed = False
             if not locked_poll and not driver.rx_pending:
                 pending = yield from driver.probe()  # lock-free fast path

@@ -36,12 +36,12 @@ class HookRegistry:
     """Per-machine registry of scheduler hooks."""
 
     def __init__(self) -> None:
-        #: the idle hooks, replaced (never mutated) on (un)registration, so
-        #: an idle pass iterating it runs a snapshot: a hook that
-        #: unregisters itself mid-pass does not cut the pass short
+        #: the hooks of each kind, replaced (never mutated) on
+        #: (un)registration, so a pass iterating one runs a snapshot: a
+        #: hook that unregisters itself mid-pass does not cut the pass short
         self.idle_hooks: tuple[HookFn, ...] = ()
-        self._ctx_switch: list[HookFn] = []
-        self._timer: list[HookFn] = []
+        self.ctx_switch_hooks: tuple[HookFn, ...] = ()
+        self.timer_hooks: tuple[HookFn, ...] = ()
         self._demand: list[DemandFn] = []
 
     # -- registration ----------------------------------------------------------
@@ -50,10 +50,10 @@ class HookRegistry:
         self.idle_hooks = (*self.idle_hooks, fn)
 
     def register_ctx_switch(self, fn: HookFn) -> None:
-        self._ctx_switch.append(fn)
+        self.ctx_switch_hooks = (*self.ctx_switch_hooks, fn)
 
     def register_timer(self, fn: HookFn) -> None:
-        self._timer.append(fn)
+        self.timer_hooks = (*self.timer_hooks, fn)
 
     def register_demand(self, fn: DemandFn) -> None:
         self._demand.append(fn)
@@ -75,12 +75,3 @@ class HookRegistry:
             if fn():
                 return True
         return False
-
-    def inline_hooks(self, kind: str) -> list[HookFn]:
-        """The interrupt-context hooks of the given kind
-        (``"ctx_switch"`` or ``"timer"``)."""
-        if kind == "ctx_switch":
-            return list(self._ctx_switch)
-        if kind == "timer":
-            return list(self._timer)
-        raise ValueError(f"unknown inline hook kind {kind!r}")

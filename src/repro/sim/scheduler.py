@@ -48,12 +48,10 @@ from repro.sim.process import (
 # ---------------------------------------------------------------- dispatch table
 #
 # ``_advance`` is the simulator's hottest function after the engine loop
-# itself: it classifies one effect per thread step.  A dict lookup on the
-# concrete effect class replaces the isinstance chain; effect *subclasses*
-# (allowed by the protocol) resolve through the chain once and are then
-# cached, so steady state is a single dict hit per effect.
+# itself: it classifies one effect per thread step with a single dict hit
+# on the concrete effect class.  Any other type (effect subclasses
+# included) gets no code and is rejected as an invalid effect.
 
-_EFF_INVALID = 0
 _EFF_WHERE = 1
 _EFF_WHO = 2
 _EFF_DELAY = 3
@@ -64,33 +62,18 @@ _EFF_BLOCK = 7
 _EFF_SLEEP = 8
 _EFF_YIELD = 9
 
-#: isinstance fallback, in the original chain order (subclass support)
-_EFFECT_BASES: tuple[tuple[type, int], ...] = (
-    (WhereAmI, _EFF_WHERE),
-    (WhoAmI, _EFF_WHO),
-    (Delay, _EFF_DELAY),
-    (Acquire, _EFF_ACQUIRE),
-    (Release, _EFF_RELEASE),
-    (TryAcquire, _EFF_TRY),
-    (Block, _EFF_BLOCK),
-    (Sleep, _EFF_SLEEP),
-    (YieldCore, _EFF_YIELD),
-)
-
-#: concrete class -> code cache, pre-seeded with the primitive effects
-_EFFECT_CODES: dict[type, int] = {cls: code for cls, code in _EFFECT_BASES}
-
-
-def _resolve_effect_code(eff: Any) -> int:
-    """Slow path: classify an effect subclass (or reject a non-effect) and
-    cache the verdict for its class."""
-    for base, code in _EFFECT_BASES:
-        if isinstance(eff, base):
-            break
-    else:
-        code = _EFF_INVALID
-    _EFFECT_CODES[type(eff)] = code
-    return code
+#: concrete effect class -> dispatch code
+_EFFECT_CODES: dict[type, int] = {
+    WhereAmI: _EFF_WHERE,
+    WhoAmI: _EFF_WHO,
+    Delay: _EFF_DELAY,
+    Acquire: _EFF_ACQUIRE,
+    Release: _EFF_RELEASE,
+    TryAcquire: _EFF_TRY,
+    Block: _EFF_BLOCK,
+    Sleep: _EFF_SLEEP,
+    YieldCore: _EFF_YIELD,
+}
 
 
 class Marcel:
@@ -216,7 +199,7 @@ class Marcel:
         if core.last_thread is not None and core.last_thread is not thread:
             self.ctx_switches += 1
             switch_ns = self.costs.ctx_switch_ns
-            switch_ns += self._run_inline_hooks("ctx_switch", core)
+            switch_ns += self._run_ctx_switch_hooks(core)
             if traced:
                 self.machine._trace(
                     "switch", thread, core.index, f"from {core.last_thread.name}"
@@ -229,10 +212,11 @@ class Marcel:
         else:
             self._advance(thread)
 
-    def _run_inline_hooks(self, kind: str, core: Core) -> int:
-        """Run interrupt-context hooks; returns their total cost in ns."""
+    def _run_ctx_switch_hooks(self, core: Core) -> int:
+        """Run the context-switch hooks (interrupt context); returns their
+        total cost in ns."""
         total = 0
-        for fn in self.machine.hooks.inline_hooks(kind):
+        for fn in self.machine.hooks.ctx_switch_hooks:
             ns, _ = run_inline(fn(core), core_index=core.index)
             total += ns
         return total
@@ -264,8 +248,6 @@ class Marcel:
             send = None
 
             code = effect_codes.get(type(eff))
-            if code is None:
-                code = _resolve_effect_code(eff)
             if code == _EFF_DELAY:
                 ns = eff.ns
                 if ns == 0:

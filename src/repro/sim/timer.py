@@ -56,7 +56,7 @@ class TimerSystem:
         self.ticks += 1
         core = self.machine.cores[core_index]
         cost = self.machine.costs.timer_overhead_ns
-        for fn in self.machine.hooks.inline_hooks("timer"):
+        for fn in self.machine.hooks.timer_hooks:
             ns, _ = run_inline(fn(core), core_index=core.index)
             cost += ns
         core.account("timer", cost)

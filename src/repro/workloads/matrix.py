@@ -34,12 +34,6 @@ def config_label(mech: Mechanism, variant: str) -> str:
     return f"{mech.key} [{variant}]" if variant else mech.key
 
 
-def _extra(axis: str, name: str, size: int) -> dict:
-    """Per-record extras: the sweep-axis meaning (deterministic, computed
-    parent-side so parallel and sequential runs serialize identically)."""
-    return {"axis": axis}
-
-
 def run_scenario(
     name: str,
     *,
@@ -68,7 +62,10 @@ def run_scenario(
     )
     with sweep_session(workers=workers):
         return run_sweep(
-            f"workload-{name}", configs, cfg, extra=partial(_extra, sc.axis)
+            f"workload-{name}",
+            configs,
+            cfg,
+            extra=lambda _config, _size: {"axis": sc.axis},
         )
 
 

@@ -16,11 +16,9 @@ from repro.bench import locking, parallel, waiting
 from repro.bench.config import BenchConfig
 from repro.bench.parallel import (
     WORKERS_ENV,
-    compute_chunksize,
     get_pool,
-    points_picklable,
+    imap_points,
     resolve_workers,
-    run_tasks,
     shutdown_pool,
 )
 from repro.bench.runner import run_sweep, sweep_session
@@ -71,15 +69,39 @@ class TestWorkerResolution:
 
 
 class TestPicklability:
+    """Pool tasks carry only the point function and its size: the point
+    functions must pickle, ``extra`` never leaves this process."""
+
     def test_partials_over_module_functions_are_picklable(self):
-        assert points_picklable({"a": partial(_linear_point, 2.0)})
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        before = parallel.pool_stats()
+        with sweep_session(workers=2):
+            results = run_sweep("pickl", {"a": partial(_linear_point, 2.0)}, cfg)
+        assert parallel.pool_stats_delta(before)["dispatched"] == 2
+        assert results.point("a", 2) == 5.0
 
     def test_lambdas_are_not(self):
-        assert not points_picklable({"a": lambda size: 1.0})
+        """A lambda point on the pool fails the sweep, naming it — it is
+        never quietly measured somewhere else."""
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
+        with sweep_session(workers=2), pytest.raises(
+            RuntimeError, match="sweep 'my-sweep': point 'a' at size 1"
+        ):
+            run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg)
 
-    def test_extra_callback_participates(self):
-        configs = {"a": partial(_linear_point, 2.0)}
-        assert not points_picklable(configs, extra=lambda n, s: {})
+    def test_lambda_extra_keeps_points_on_the_pool(self):
+        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2, 4))
+        configs = {
+            "a": partial(_linear_point, 1.0),
+            "b": partial(_linear_point, 2.0),
+        }
+        before = parallel.pool_stats()
+        with sweep_session(workers=2):
+            results = run_sweep(
+                "exp", configs, cfg, extra=lambda name, size: {"tag": name}
+            )
+        assert parallel.pool_stats_delta(before)["dispatched"] == 6
+        assert [r.extra for r in results] == [{"tag": "a"}] * 3 + [{"tag": "b"}] * 3
 
 
 def _sleep_ms_point(size: int) -> float:
@@ -87,25 +109,6 @@ def _sleep_ms_point(size: int) -> float:
     synthetic skewed grid of the chunking regression test."""
     time.sleep(size / 1000.0)
     return float(size)
-
-
-class TestComputeChunksize:
-    def test_small_grids_dispatch_point_by_point(self):
-        assert compute_chunksize([8] * 6, 4) == 1
-        assert compute_chunksize([], 4) == 1
-
-    def test_uniform_grid_batches(self):
-        # 64 uniform points on 2 workers: 64 // (2*4) = 8 per chunk
-        assert compute_chunksize([1024] * 64, 2) == 8
-
-    def test_skewed_grid_forces_single_point_chunks(self):
-        """One huge point among many small ones (fig8b's shape) must
-        never ride in a batch behind cheap points."""
-        weights = [32768] + [8] * 63
-        assert compute_chunksize(weights, 2) == 1
-
-    def test_zero_weights_still_batch(self):
-        assert compute_chunksize([0] * 64, 2) == 8
 
 
 class TestPersistentPool:
@@ -129,12 +132,10 @@ class TestPersistentPool:
         shutdown_pool()
         shutdown_pool()
 
-    def test_run_tasks_positional_reassembly(self):
-        tasks = [
-            ("a", partial(_linear_point, 2.0), size) for size in (1, 2, 4, 8)
-        ]
-        outcomes = run_tasks(tasks, 2)
-        assert outcomes == [3.0, 5.0, 9.0, 17.0]
+    def test_imap_points_keeps_task_order(self):
+        tasks = [(partial(_linear_point, 2.0), size, None) for size in (1, 2, 4, 8)]
+        outcomes = list(imap_points(tasks, 2))
+        assert outcomes == [(3.0, None), (5.0, None), (9.0, None), (17.0, None)]
 
     def test_sweeps_share_one_pool(self):
         """Two consecutive parallel sweeps must reuse the same pool —
@@ -157,12 +158,12 @@ class TestPersistentPool:
         serialize short points behind it in a shared chunk."""
         shutdown_pool()
         weights = [200] + [15] * 15
-        tasks = [("skew", partial(_sleep_ms_point), w) for w in weights]
+        tasks = [(_sleep_ms_point, w, None) for w in weights]
         get_pool(4)  # spawn outside the timed region
         t0 = time.perf_counter()
-        outcomes = run_tasks(tasks, 4)
+        outcomes = list(imap_points(tasks, 4))
         elapsed = time.perf_counter() - t0
-        assert outcomes == [float(w) for w in weights]
+        assert outcomes == [(float(w), None) for w in weights]
         ideal = max(max(weights), sum(weights) / 4) / 1000.0
         # 1.2x ideal plus a flat IPC/startup allowance for slow CI boxes
         assert elapsed < 1.2 * ideal + 0.25, (
@@ -172,21 +173,7 @@ class TestPersistentPool:
 
 
 class TestSequentialFallbackWarning:
-    def test_nonpicklable_with_workers_warns_naming_sweep(self):
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with sweep_session(workers=2), pytest.warns(
-            RuntimeWarning, match="'my-sweep'.*--workers"
-        ):
-            run_sweep("my-sweep", {"a": lambda s: 1.0}, cfg)
-
-    def test_warning_is_one_time_per_sweep(self):
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        with sweep_session(workers=2):
-            with pytest.warns(RuntimeWarning):
-                run_sweep("once", {"a": lambda s: 1.0}, cfg)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                run_sweep("once", {"a": lambda s: 1.0}, cfg)
+    """Neither execution path warns."""
 
     def test_sequential_run_does_not_warn(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
@@ -213,21 +200,6 @@ class TestRunSweepParallel:
             par = run_sweep("exp", configs, cfg)
         assert seq.to_json() == par.to_json()
         assert [r.sort_key() for r in seq] == [r.sort_key() for r in par]
-
-    def test_nonpicklable_falls_back_in_process(self):
-        cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
-        calls = []
-
-        def closure_point(size):
-            calls.append(size)
-            return float(size)
-
-        with sweep_session(workers=2), pytest.warns(
-            RuntimeWarning, match="not picklable"
-        ):
-            results = run_sweep("exp", {"a": closure_point}, cfg)
-        assert calls == [1, 2], "fallback must run in this very process"
-        assert results.point("a", 2) == 2.0
 
     def test_workers_from_session(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))

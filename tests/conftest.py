@@ -11,7 +11,6 @@ the store still lands in the per-test temporary directory.
 import pytest
 
 from repro.bench import cache as bench_cache
-from repro.bench import runner
 
 
 @pytest.fixture(autouse=True)
@@ -21,5 +20,4 @@ def _hermetic_sweep_cache(monkeypatch, tmp_path):
         bench_cache.CACHE_DIR_ENV, str(tmp_path / "sweep-cache")
     )
     bench_cache.reset_stats()
-    runner._warned_fallback.clear()
     yield

@@ -56,18 +56,18 @@ class TestHookRegistry:
         with pytest.raises(ValueError):
             reg.unregister_idle(lambda core: iter([]))
 
-    def test_inline_hooks_kinds(self):
+    def test_interrupt_hooks_are_replaced_tuples(self):
         reg = HookRegistry()
 
         def hook(core):
             yield Delay(1)
 
+        timer_before = reg.timer_hooks
         reg.register_timer(hook)
         reg.register_ctx_switch(hook)
-        assert reg.inline_hooks("timer") == [hook]
-        assert reg.inline_hooks("ctx_switch") == [hook]
-        with pytest.raises(ValueError):
-            reg.inline_hooks("coffee")
+        assert reg.timer_hooks == (hook,)
+        assert reg.ctx_switch_hooks == (hook,)
+        assert timer_before == (), "registration must not mutate a snapshot"
 
     def test_demand_empty_false(self):
         assert HookRegistry().idle_demand() is False

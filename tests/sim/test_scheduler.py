@@ -226,6 +226,23 @@ class TestBlockWake:
         with pytest.raises(SimProtocolError):
             m.scheduler.wake(t)
 
+    def test_effect_subclass_rejected(self):
+        """Effects dispatch on their exact class: a subclass is not an
+        effect the scheduler knows."""
+        eng, m = make_machine()
+
+        class LongDelay(Delay):
+            __slots__ = ()
+
+        def work():
+            yield LongDelay(10)
+
+        m.scheduler.spawn(work(), name="w")
+        from repro.sim.errors import SimProtocolError
+
+        with pytest.raises(SimProtocolError, match="invalid effect"):
+            eng.run()
+
     def test_wake_done_thread_is_noop(self):
         eng, m = make_machine()
 
