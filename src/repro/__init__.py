@@ -16,8 +16,6 @@ simulator:
   integration and submission offloading;
 * :mod:`repro.madmpi` — the Mad-MPI interface (communicators,
   point-to-point, collectives, thread levels);
-* :mod:`repro.rt` — a live miniature of the same engine on real Python
-  threads;
 * :mod:`repro.bench` / :mod:`repro.analysis` — the harness regenerating
   every figure of the paper, with machine-checked claims.
 

@@ -1,16 +1,6 @@
-"""Benchmark analysis: statistics, constant-overhead extraction, and the
-competitive analysis of spin-then-block waiting."""
+"""Benchmark analysis: statistics, constant-overhead extraction and the
+per-message latency decomposition."""
 
-from repro.analysis.competitive import (
-    EmpiricalEvaluation,
-    balance_threshold_ns,
-    best_threshold,
-    competitive_ratio,
-    evaluate_threshold,
-    offline_optimum_ns,
-    strategy_cost_ns,
-    worst_case_ratio,
-)
 from repro.analysis.decompose import Decomposition, decompose_message, decomposition_table
 from repro.analysis.fit import OffsetFit, constant_offset, offset_flatness, ratio_series
 from repro.analysis.stats import (
@@ -22,14 +12,6 @@ from repro.analysis.stats import (
 )
 
 __all__ = [
-    "EmpiricalEvaluation",
-    "balance_threshold_ns",
-    "best_threshold",
-    "competitive_ratio",
-    "evaluate_threshold",
-    "offline_optimum_ns",
-    "strategy_cost_ns",
-    "worst_case_ratio",
     "Decomposition",
     "decompose_message",
     "decomposition_table",

@@ -1,8 +1,8 @@
 """Summary statistics for benchmark samples.
 
 The simulator is deterministic by default, so most samples are degenerate;
-these helpers exist for jitter-enabled runs and for the real-thread engine
-(:mod:`repro.rt`), whose timings are genuinely noisy.
+these helpers exist for jitter-enabled runs and for samples taken over
+several seeds, whose values genuinely spread.
 """
 
 from __future__ import annotations

@@ -13,11 +13,15 @@ Queue layout (the hot path of the whole simulator):
 * future events live in a heap of ``(time, seq, fn, args, handle)``
   tuples — tuple comparison resolves on the leading ints in C, so heap
   operations never call back into Python comparison methods;
-* events scheduled *at the current timestamp* (the delay-0 dispatch/wake
-  traffic) bypass the heap entirely: they append to a FIFO *now bucket*
-  drained after the heap's entries for that timestamp.  Sequence order is
-  structural — every heap entry at time *t* predates the clock reaching
-  *t*, so it outranks every bucket entry, and the bucket itself is FIFO;
+* events *at the current timestamp* live in a FIFO *now bucket* (a
+  deque) of tuples of the same shape, and the run loop dispatches only
+  from the bucket.  When the bucket is drained and the clock advances to
+  the heap's next time *t*, every heap entry at *t* is popped into the
+  emptied bucket in sequence order.  Events scheduled at *t* with delay
+  0 (the dispatch/wake traffic) append after them and never touch the
+  heap.  Order is structural: the heap never holds an entry at the
+  current time, every popped entry predates the clock reaching *t*, and
+  the bucket is FIFO;
 * fire-and-forget events (:meth:`Engine.call_after` / :meth:`Engine.call_at`
   — the scheduler/NIC/PIOMan fast path for the dominant short fixed-delay
   events) carry no :class:`EventHandle` at all: the old per-event handle
@@ -28,6 +32,7 @@ Queue layout (the hot path of the whole simulator):
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable
 
@@ -70,12 +75,10 @@ class Engine:
         self.now: int = 0
         #: future events: (time, seq, fn, args, handle-or-None) tuples
         self._heap: list[tuple] = []
-        #: events at the *current* timestamp: (fn, args, handle-or-None),
-        #: FIFO, drained after the heap's entries for this timestamp
-        self._bucket: list[tuple] = []
-        #: index of the next unconsumed bucket entry (persisted so an
-        #: early exit can resume mid-bucket)
-        self._pos = 0
+        #: events at the *current* timestamp, FIFO, in the heap's tuple
+        #: shape: the heap's entries for this time, then delay-0 events
+        #: as (0, 0, fn, args, handle-or-None)
+        self._bucket: deque[tuple] = deque()
         self._seq = 0
         #: scheduled, not-yet-run, not-cancelled events (O(1) pending())
         self._live = 0
@@ -97,7 +100,7 @@ class Engine:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (self.now + delay_ns, seq, fn, args, handle))
         else:
-            self._bucket.append((fn, args, handle))
+            self._bucket.append((0, 0, fn, args, handle))
         return handle
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -111,7 +114,7 @@ class Engine:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (time_ns, seq, fn, args, handle))
         else:
-            self._bucket.append((fn, args, handle))
+            self._bucket.append((0, 0, fn, args, handle))
         return handle
 
     def call_after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -131,7 +134,7 @@ class Engine:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (self.now + delay_ns, seq, fn, args, None))
         else:
-            self._bucket.append((fn, args, None))
+            self._bucket.append((0, 0, fn, args, None))
 
     def call_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at` (no cancel token)."""
@@ -143,7 +146,7 @@ class Engine:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (time_ns, seq, fn, args, None))
         else:
-            self._bucket.append((fn, args, None))
+            self._bucket.append((0, 0, fn, args, None))
 
     def pending(self) -> int:
         """Number of queued, not-yet-cancelled events (O(1))."""
@@ -240,73 +243,50 @@ class Engine:
         # the common case — skips every guard it can
         heap = self._heap
         bucket = self._bucket
-        pos = self._pos
+        popleft = bucket.popleft
+        append = bucket.append
         events_this_run = 0
         try:
             while True:
-                if heap:
-                    entry = heap[0]
-                    if entry[0] == self.now:
-                        # heap entries at the current time predate the
-                        # clock reaching it: they outrank the now bucket
-                        heappop(heap)
-                        handle = entry[4]
-                        if handle is not None:
-                            if handle.cancelled:
-                                continue
-                            handle._engine = None
-                        if max_events is not None and events_this_run >= max_events:
-                            heappush(heap, entry)  # leave the event queued
-                            raise SimTimeLimit(
-                                f"simulation exceeded max_events={max_events}"
-                            )
-                        self._live -= 1
-                        events_this_run += 1
-                        entry[2](*entry[3])
-                        if self._stopping:
-                            return "stopped"
-                        if until is not None and until():
-                            return "until"
-                        continue
-                if pos < len(bucket):
-                    entry = bucket[pos]
-                    pos += 1
-                    handle = entry[2]
+                while bucket:
+                    entry = popleft()
+                    handle = entry[4]
                     if handle is not None:
                         if handle.cancelled:
                             continue
                         handle._engine = None
                     if max_events is not None and events_this_run >= max_events:
-                        pos -= 1  # leave the event queued
+                        if handle is not None:
+                            handle._engine = self  # still cancellable
+                        bucket.appendleft(entry)  # leave the event queued
                         raise SimTimeLimit(
                             f"simulation exceeded max_events={max_events}"
                         )
                     self._live -= 1
                     events_this_run += 1
-                    entry[0](*entry[1])
+                    entry[2](*entry[3])
                     if self._stopping:
                         return "stopped"
                     if until is not None and until():
                         return "until"
-                    continue
-                if heap:
-                    # bucket drained: advance the clock to the next time
-                    time = heap[0][0]
-                    if max_time is not None and time > max_time:
-                        handle = heap[0][4]
-                        if handle is not None and handle.cancelled:
-                            heappop(heap)  # cancelled: drop silently
-                            continue
-                        raise SimTimeLimit(
-                            f"simulation exceeded max_time={max_time} ns "
-                            f"(now={self.now})"
-                        )
-                    self.now = time
-                    if bucket:
-                        del bucket[:]
-                    pos = 0
-                    continue
-                break
+                if not heap:
+                    break
+                # bucket drained: advance the clock to the next time and
+                # move every heap entry at that time into the bucket
+                time = heap[0][0]
+                if max_time is not None and time > max_time:
+                    handle = heap[0][4]
+                    if handle is not None and handle.cancelled:
+                        heappop(heap)  # cancelled: drop silently
+                        continue
+                    raise SimTimeLimit(
+                        f"simulation exceeded max_time={max_time} ns "
+                        f"(now={self.now})"
+                    )
+                self.now = time
+                append(heappop(heap))
+                while heap and heap[0][0] == time:
+                    append(heappop(heap))
             if until is not None:
                 raise SimDeadlock(
                     f"event queue drained at t={self.now} ns but the awaited "
@@ -314,7 +294,6 @@ class Engine:
                 )
             return "drained"
         finally:
-            self._pos = pos
             self._events_run += events_this_run
             self._running = False
             self._stopping = False

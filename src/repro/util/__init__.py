@@ -1,4 +1,4 @@
-"""Shared utilities: units, validation, result records and table rendering.
+"""Shared utilities: units, result records and table rendering.
 
 These helpers are deliberately dependency-free (stdlib + numpy only) and are
 used by every other subpackage.  Nothing in here knows about the simulator or
@@ -17,12 +17,6 @@ from repro.util.units import (
     parse_size,
     us_to_ns,
 )
-from repro.util.validate import (
-    check_in,
-    check_nonneg,
-    check_pos,
-    check_type,
-)
 from repro.util.records import ResultRecord, ResultSet
 from repro.util.tables import render_table
 
@@ -37,10 +31,6 @@ __all__ = [
     "ns_to_us",
     "parse_size",
     "us_to_ns",
-    "check_in",
-    "check_nonneg",
-    "check_pos",
-    "check_type",
     "ResultRecord",
     "ResultSet",
     "render_table",

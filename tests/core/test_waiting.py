@@ -174,3 +174,22 @@ class TestFixedSpinWait:
         fixed = lat(lambda: FixedSpinWait(spin_ns=50_000))
         passive = lat(PassiveWait)
         assert fixed < passive
+
+
+class TestTheoryMatchesSimulator:
+    def test_fixed_spin_sweep_consistent_with_theory(self):
+        """The E9 sweep's shape follows the cost model: thresholds below
+        the 8 us arrival all pay spin+switch; covering thresholds pay the
+        arrival only."""
+        from repro.bench.waiting import run_fixed_spin_sweep
+
+        results = run_fixed_spin_sweep(
+            spin_values_ns=(0, 2_000, 20_000), event_delay_ns=8_000, iterations=6
+        )
+        block = results.point("fixed-spin wait", 0)
+        short = results.point("fixed-spin wait", 2_000)
+        cover = results.point("fixed-spin wait", 20_000)
+        # theory: cost(block) ~ cost(short spin) > cost(covering spin)
+        assert cover < block
+        assert cover < short
+        assert abs(short - block) < 1.5  # both pay the switch (us scale)

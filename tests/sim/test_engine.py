@@ -185,6 +185,45 @@ class TestLimitConsistency:
         eng.run()
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_max_events_leaves_event_cancellable(self):
+        eng = Engine()
+        seen = []
+        handle = eng.schedule(5, seen.append, "kept")
+        with pytest.raises(SimTimeLimit):
+            eng.run(max_events=0)
+        handle.cancel()
+        assert eng.pending() == 0
+        assert eng.run() == "drained"
+        assert seen == []
+
+    @pytest.mark.parametrize("halt", ["max_events", "stop"])
+    def test_resume_at_shared_timestamp(self, halt):
+        # a run halted inside a timestamp keeps the rest of that time's
+        # events ahead of a delay-0 event scheduled between runs
+        eng = Engine()
+        seen = []
+
+        def first():
+            seen.append("first")
+            if halt == "stop":
+                eng.stop()
+
+        eng.schedule(5, first)
+        eng.schedule(5, seen.append, "second").cancel()
+        eng.schedule(5, seen.append, "third")
+        if halt == "stop":
+            assert eng.run() == "stopped"
+        else:
+            with pytest.raises(SimTimeLimit):
+                eng.run(max_events=1)
+        assert seen == ["first"]
+        assert eng.now == 5
+        assert eng.pending() == 1
+        eng.call_after(0, seen.append, "new")
+        assert eng.run() == "drained"
+        assert seen == ["first", "third", "new"]
+        assert eng.pending() == 0
+
 
 class TestPendingCounter:
     def test_pending_tracks_schedule_cancel_run(self):
