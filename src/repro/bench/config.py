@@ -30,8 +30,6 @@ class BenchConfig:
     sizes: tuple[int, ...] = PAPER_SIZES
     seed: int = 0
     jitter_ns: int = 0
-    #: hard ceiling on simulated time per point (debugging aid)
-    max_time_ns: int = 20_000_000_000
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:

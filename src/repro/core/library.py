@@ -42,9 +42,9 @@ from typing import TYPE_CHECKING
 from repro.core.collect import CollectLayer
 from repro.core.costmodel import CostModel
 from repro.core.locking import LockingPolicy, make_policy
-from repro.core.matching import MatchingTable
-from repro.core.packets import Packet, PacketKind, cts_packet
-from repro.core.requests import ReqState, RecvRequest, SendRequest
+from repro.core.matching import MatchingTable, UnexpectedRts
+from repro.core.packets import Chunk, Packet, PacketKind, cts_packet
+from repro.core.requests import ReqState, RecvRequest, SendRequest, tag_accepts
 from repro.core.strategies import DefaultStrategy, Plan, Strategy
 from repro.core.transfer import TransferLayer
 from repro.sim.machine import Machine
@@ -214,7 +214,7 @@ class NewMadeleine:
         return bool(
             self._send_reqs
             or self.matching.posted_count
-            or self.matching._in_progress
+            or self.matching.in_progress_count
         )
 
     # ------------------------------------------------------------------ API
@@ -274,11 +274,11 @@ class NewMadeleine:
         req.stamp("posted")
         self.irecv_count += 1
         yield self._eff_recv_post
-        if self.matching.has_unexpected:
-            matched = yield from self._claim_unexpected(req)
-            if matched:
-                return req
-        self.matching.post(req)
+        claimed = self.matching.take_unexpected(req)
+        if claimed is None:
+            self.matching.post(req)
+        else:
+            yield from self._claim_unexpected(req, claimed)
         return req
 
     def progress(self, early_exit=None) -> SimGen:
@@ -417,63 +417,57 @@ class NewMadeleine:
         req.complete(core=core)
         return True
 
-    def probe(self, peer: int, tag: int) -> SimGen:
+    def probe(self, peer: int, tag: int, *, tag_bounds=None) -> SimGen:
         """Non-blocking probe: has a matching message arrived that no
         posted receive claimed yet?  Returns ``(found, size)``.
 
-        Checks both stashed eager data and pending rendezvous
-        announcements; runs one progress pass first so freshly-delivered
-        packets are visible (``MPI_Iprobe`` semantics).
+        Reports the stashed arrival (eager data or rendezvous announcement)
+        that an ``irecv`` with the same arguments would claim; runs one
+        progress pass first so freshly-delivered packets are visible
+        (``MPI_Iprobe`` semantics).
         """
         self.rails(peer)
         yield from self.progress()
         yield Delay(self.costs.match_ns, "overhead")
-        for chunk in self.matching.unexpected_chunks():
-            if chunk.src_node == peer and (tag == -1 or chunk.tag == tag):
-                if chunk.offset == 0:
-                    return True, chunk.msg_size
-        for rts in self.matching.unexpected_rts():
-            if rts.src_node == peer and (tag == -1 or rts.tag == tag):
-                return True, rts.size
-        return False, None
+        entry = self.matching.find_unexpected(
+            peer, lambda t: tag_accepts(tag, tag_bounds, t)
+        )
+        if entry is None:
+            return False, None
+        return True, entry.msg_size
 
     # ------------------------------------------------------------ receive path
 
-    def _claim_unexpected(self, req: RecvRequest) -> SimGen:
-        """Match a fresh receive against stashed arrivals.  Returns True when
-        the request was satisfied or its rendezvous is now underway."""
-        rts = self.matching.take_unexpected_rts(req)
-        if rts is not None:
+    def _claim_unexpected(
+        self, req: RecvRequest, claimed: UnexpectedRts | list[Chunk]
+    ) -> SimGen:
+        """Serve a fresh receive from the stashed arrival it claimed: start
+        the rendezvous, or deliver the stashed chunks."""
+        if isinstance(claimed, UnexpectedRts):
             yield Delay(self.costs.match_ns, "overhead")
-            if req.size < rts.size:
+            if req.size < claimed.msg_size:
                 raise RuntimeError(
                     f"receive buffer ({req.size} B) smaller than announced "
-                    f"rendezvous ({rts.size} B)"
+                    f"rendezvous ({claimed.msg_size} B)"
                 )
-            self.matching.register_in_progress(rts.src_node, rts.req_id, req)
+            self.matching.register_in_progress(claimed.src_node, claimed.send_req_id, req)
             req.state = ReqState.IN_TRANSIT
-            self._pending_cts.append((rts.src_node, rts.req_id))
+            self._pending_cts.append((claimed.src_node, claimed.send_req_id))
             self._poke_progress()
-            return True
-        chunks = self.matching.take_unexpected_chunks(req)
-        if chunks:
-            core = yield WhereAmI()
-            done = False
-            for chunk in chunks:
-                yield Delay(self.costs.match_ns, "overhead")
-                if self.matching.finish_chunk(chunk, req):
-                    done = True
-            if done:
-                yield Delay(self.costs.complete_ns, "overhead")
-                req.complete(core=core)
-            else:
-                req.state = ReqState.IN_TRANSIT
-                first = chunks[0]
-                self.matching.register_in_progress(
-                    first.src_node, first.send_req_id, req
-                )
-            return True
-        return False
+            return
+        core = yield WhereAmI()
+        done = False
+        for chunk in claimed:
+            yield Delay(self.costs.match_ns, "overhead")
+            if self.matching.finish_chunk(chunk, req):
+                done = True
+        if done:
+            yield Delay(self.costs.complete_ns, "overhead")
+            req.complete(core=core)
+        else:
+            req.state = ReqState.IN_TRANSIT
+            first = claimed[0]
+            self.matching.register_in_progress(first.src_node, first.send_req_id, req)
 
     def _handle_packet(self, packet: Packet) -> SimGen:
         """Process one arrived packet (caller holds the rx lock)."""

@@ -2,8 +2,10 @@
 
 Arrived chunks are matched against posted receives by (source node, tag)
 in FIFO posting order, MPI-style.  Chunks (and rendezvous RTS handshakes)
-that arrive before a matching receive is posted are stashed on the
-*unexpected* queue and re-examined when a new receive is posted.
+that arrive before a matching receive is posted are stashed, in arrival
+order, on one *unexpected* queue; a newly-posted receive (or a probe)
+claims the oldest entry it matches, so no message overtakes an earlier
+one on the same (source, tag), whatever its protocol.
 
 The posted-receive list is consumed only by the progress engine; posting
 is modelled as a lock-free MPSC append (cost
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.packets import Chunk
 from repro.core.requests import RecvRequest
@@ -22,12 +25,13 @@ from repro.core.requests import RecvRequest
 
 @dataclass
 class UnexpectedRts:
-    """A rendezvous announcement waiting for its receive to be posted."""
+    """A rendezvous announcement waiting for its receive to be posted; its
+    fields carry the names they share with :class:`Chunk`."""
 
     src_node: int
-    req_id: int
+    send_req_id: int
     tag: int
-    size: int
+    msg_size: int
 
 
 class MatchingTable:
@@ -35,8 +39,9 @@ class MatchingTable:
 
     def __init__(self) -> None:
         self._posted: deque[RecvRequest] = deque()
-        self._unexpected_chunks: deque[Chunk] = deque()
-        self._unexpected_rts: deque[UnexpectedRts] = deque()
+        # eager chunks and rendezvous announcements that found no posted
+        # receive, in arrival order (on a rail, that is send order)
+        self._unexpected: deque[Chunk | UnexpectedRts] = deque()
         # matched-but-incomplete receives (multi-chunk / multirail), by
         # (src_node, send_req_id)
         self._in_progress: dict[tuple[int, int], RecvRequest] = {}
@@ -53,19 +58,12 @@ class MatchingTable:
 
     @property
     def unexpected_count(self) -> int:
-        return len(self._unexpected_chunks) + len(self._unexpected_rts)
+        return len(self._unexpected)
 
     @property
-    def has_unexpected(self) -> bool:
-        return bool(self._unexpected_chunks or self._unexpected_rts)
-
-    def unexpected_chunks(self) -> tuple[Chunk, ...]:
-        """Read-only view of the stashed data chunks (for probing)."""
-        return tuple(self._unexpected_chunks)
-
-    def unexpected_rts(self) -> tuple[UnexpectedRts, ...]:
-        """Read-only view of the stashed rendezvous announcements."""
-        return tuple(self._unexpected_rts)
+    def in_progress_count(self) -> int:
+        """Matched receives whose data has not fully arrived yet."""
+        return len(self._in_progress)
 
     # -- matching ------------------------------------------------------------
 
@@ -88,7 +86,7 @@ class MatchingTable:
         if req is None:
             req = self._find_posted(chunk.src_node, chunk.tag)
             if req is None:
-                self._unexpected_chunks.append(chunk)
+                self._unexpected.append(chunk)
                 return None
             if req.size < chunk.msg_size:
                 raise RuntimeError(
@@ -126,7 +124,7 @@ class MatchingTable:
         """Match a rendezvous announcement; stash it when nothing is posted."""
         req = self._find_posted(src_node, tag)
         if req is None:
-            self._unexpected_rts.append(UnexpectedRts(src_node, req_id, tag, size))
+            self._unexpected.append(UnexpectedRts(src_node, req_id, tag, size))
             return None
         if req.size < size:
             raise RuntimeError(
@@ -138,33 +136,27 @@ class MatchingTable:
 
     # -- unexpected replay ------------------------------------------------------
 
-    def take_unexpected_chunks(self, req_filter: RecvRequest) -> list[Chunk]:
-        """Pop stashed chunks that the newly-posted receive matches."""
-        taken: list[Chunk] = []
-        keep: deque[Chunk] = deque()
-        matched_key: tuple[int, int] | None = None
-        for chunk in self._unexpected_chunks:
-            key = (chunk.src_node, chunk.send_req_id)
-            same_message = matched_key is not None and key == matched_key
-            if same_message or (
-                matched_key is None
-                and req_filter.peer == chunk.src_node
-                and req_filter.matches(chunk.tag)
-            ):
-                if matched_key is None:
-                    matched_key = key
-                taken.append(chunk)
-                self.unexpected_hits += 1
-            else:
-                keep.append(chunk)
-        self._unexpected_chunks = keep
-        return taken
-
-    def take_unexpected_rts(self, req_filter: RecvRequest) -> UnexpectedRts | None:
-        """Pop the oldest stashed RTS that the newly-posted receive matches."""
-        for rts in self._unexpected_rts:
-            if req_filter.peer == rts.src_node and req_filter.matches(rts.tag):
-                self._unexpected_rts.remove(rts)
-                self.unexpected_hits += 1
-                return rts
+    def find_unexpected(
+        self, peer: int, accepts: Callable[[int], bool]
+    ) -> Chunk | UnexpectedRts | None:
+        """The oldest stashed arrival from ``peer`` whose tag ``accepts``
+        admits: what a receive posted now would claim."""
+        for entry in self._unexpected:
+            if entry.src_node == peer and accepts(entry.tag):
+                return entry
         return None
+
+    def take_unexpected(self, req: RecvRequest) -> UnexpectedRts | list[Chunk] | None:
+        """Pop the oldest stashed arrival the newly-posted receive matches:
+        the rendezvous announcement, or every stashed chunk of that message
+        (a rendezvous stashes no chunk, so its key is unique)."""
+        first = self.find_unexpected(req.peer, req.matches)
+        if first is None:
+            return None
+        key = (first.src_node, first.send_req_id)
+        taken = [e for e in self._unexpected if (e.src_node, e.send_req_id) == key]
+        self._unexpected = deque(
+            e for e in self._unexpected if (e.src_node, e.send_req_id) != key
+        )
+        self.unexpected_hits += len(taken)
+        return first if isinstance(first, UnexpectedRts) else taken

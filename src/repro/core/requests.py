@@ -121,6 +121,18 @@ class Request:
         )
 
 
+def tag_accepts(want: int, bounds: tuple[int, int] | None, tag: int) -> bool:
+    """The tag rule of receives and probes: a concrete ``want`` matches
+    only itself; ``ANY_TAG`` matches any tag within the optional inclusive
+    ``bounds``."""
+    if want != ANY_TAG:
+        return want == tag
+    if bounds is None:
+        return True
+    lo, hi = bounds
+    return lo <= tag <= hi
+
+
 class SendRequest(Request):
     """An ``nm_isend`` in flight.
 
@@ -148,8 +160,6 @@ class RecvRequest(Request):
     confine a wildcard to one communicator's tag space.
     """
 
-    ANY_TAG = ANY_TAG
-
     def __init__(
         self,
         machine: "Machine",
@@ -167,9 +177,4 @@ class RecvRequest(Request):
         self.tag_bounds = tag_bounds
 
     def matches(self, tag: int) -> bool:
-        if self.tag != ANY_TAG:
-            return self.tag == tag
-        if self.tag_bounds is None:
-            return True
-        lo, hi = self.tag_bounds
-        return lo <= tag <= hi
+        return tag_accepts(self.tag, self.tag_bounds, tag)

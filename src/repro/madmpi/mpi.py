@@ -189,6 +189,14 @@ class Communicator:
             return ANY_TAG
         return self._context * (_COLL_TAG_BASE << 4) + tag
 
+    def _tag_bounds(self, tag: int) -> tuple[int, int] | None:
+        """Wire-tag range a wildcard receive or probe may match: this
+        communicator's tag space only."""
+        if tag != ANY_TAG:
+            return None
+        base = self._wire_tag(0)
+        return (base, base + (_COLL_TAG_BASE << 4) - 1)
+
     def _enter(self) -> SimGen:
         """Thread-level bookkeeping around every MPI call."""
         thread = yield WhoAmI()
@@ -254,16 +262,12 @@ class Communicator:
         self._check_rank(source, "recv")
         self._check_tag(tag, recv=True)
         tid = yield from self._enter()
-        bounds = None
-        if tag == ANY_TAG:
-            base = self._wire_tag(0)
-            bounds = (base, base + (_COLL_TAG_BASE << 4) - 1)
         try:
             req = yield from self.lib.irecv(
                 self._node_of(source),
                 self._wire_tag(tag),
                 datatype.extent(count),
-                tag_bounds=bounds,
+                tag_bounds=self._tag_bounds(tag),
             )
         finally:
             self._exit(tid)
@@ -395,7 +399,9 @@ class Communicator:
         tid = yield from self._enter()
         try:
             found, size = yield from self.lib.probe(
-                self._node_of(source), self._wire_tag(tag)
+                self._node_of(source),
+                self._wire_tag(tag),
+                tag_bounds=self._tag_bounds(tag),
             )
         finally:
             self._exit(tid)

@@ -2,7 +2,7 @@
 
 Every benchmark run produces :class:`ResultRecord` rows — one per
 (configuration, message size) point — collected into a :class:`ResultSet`.
-The set can be filtered, grouped into the series a figure plots, and
+The set can be grouped into the series a figure plots and
 round-tripped through JSON so that EXPERIMENTS.md entries are regenerable.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ class ResultRecord:
             extra=dict(d.get("extra", {})),
         )
 
-    def sort_key(self) -> tuple[str, str, int]:
-        """Stable grid key: (experiment, config, size).
-
-        Used by :meth:`ResultSet.sorted` and by the parallel sweep runner to
-        prove that a merged set covers the same grid as a sequential one.
-        """
-        return (self.experiment, self.config, self.size)
-
 
 class ResultSet:
     """An ordered collection of :class:`ResultRecord` with figure-style views."""
@@ -75,20 +67,6 @@ class ResultSet:
         """Append ``records`` preserving their order."""
         self._records.extend(records)
 
-    @classmethod
-    def merge(cls, sets: Iterable["ResultSet"]) -> "ResultSet":
-        """Concatenate several sets into one.
-
-        Record order is the concatenation order: all records of the first
-        set (in their original order), then the second, and so on — the
-        contract the parallel sweep runner relies on to reassemble
-        per-worker results into the sequential ordering.
-        """
-        merged = cls()
-        for s in sets:
-            merged.extend(s)
-        return merged
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -99,21 +77,6 @@ class ResultSet:
         return self._records[i]
 
     # -- views ---------------------------------------------------------------
-
-    def filter(self, pred: Callable[[ResultRecord], bool]) -> "ResultSet":
-        return ResultSet(r for r in self._records if pred(r))
-
-    def sorted(
-        self, key: Callable[[ResultRecord], Any] | None = None
-    ) -> "ResultSet":
-        """A copy sorted by ``key`` (default :meth:`ResultRecord.sort_key`).
-
-        The sort is stable: records with equal keys keep their relative
-        order, so duplicated points survive a round trip unchanged.
-        """
-        return ResultSet(
-            sorted(self._records, key=key or ResultRecord.sort_key)
-        )
 
     def configs(self) -> list[str]:
         """Distinct config labels, in first-seen order."""

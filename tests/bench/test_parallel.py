@@ -199,7 +199,6 @@ class TestRunSweepParallel:
         with sweep_session(workers=2):
             par = run_sweep("exp", configs, cfg)
         assert seq.to_json() == par.to_json()
-        assert [r.sort_key() for r in seq] == [r.sort_key() for r in par]
 
     def test_workers_from_session(self):
         cfg = BenchConfig(iterations=2, warmup=1, sizes=(1, 2))
@@ -246,47 +245,7 @@ class TestFigureDeterminism:
 
 
 class TestResultSetMerge:
-    def test_merge_preserves_record_order(self):
-        a = ResultSet(
-            [
-                ResultRecord("e", "c1", 1, 1.0),
-                ResultRecord("e", "c1", 2, 2.0),
-            ]
-        )
-        b = ResultSet([ResultRecord("e", "c2", 1, 3.0)])
-        merged = ResultSet.merge([a, b])
-        assert [(r.config, r.size) for r in merged] == [
-            ("c1", 1),
-            ("c1", 2),
-            ("c2", 1),
-        ]
-
-    def test_merge_of_split_halves_roundtrips(self):
-        records = [
-            ResultRecord("e", c, s, float(s)) for c in ("a", "b") for s in (1, 2, 4)
-        ]
-        whole = ResultSet(records)
-        halves = [ResultSet(records[:3]), ResultSet(records[3:])]
-        assert ResultSet.merge(halves).to_json() == whole.to_json()
-
     def test_extend(self):
         rs = ResultSet()
         rs.extend([ResultRecord("e", "a", 1, 1.0)])
         assert len(rs) == 1
-
-    def test_sorted_is_stable_on_grid_key(self):
-        shuffled = ResultSet(
-            [
-                ResultRecord("e", "b", 2, 1.0),
-                ResultRecord("e", "a", 2, 2.0),
-                ResultRecord("e", "a", 1, 3.0),
-                ResultRecord("e", "a", 1, 4.0),  # duplicate point keeps order
-            ]
-        )
-        ordered = shuffled.sorted()
-        assert [(r.config, r.size, r.latency_us) for r in ordered] == [
-            ("a", 1, 3.0),
-            ("a", 1, 4.0),
-            ("a", 2, 2.0),
-            ("b", 2, 1.0),
-        ]

@@ -1,15 +1,16 @@
 """Model-based testing of the matching table.
 
-Hypothesis drives random interleavings of posts and arrivals against a
-simple reference model (a per-(peer, tag) FIFO queue with MPI matching
-semantics); the real table must agree at every step.
+Hypothesis drives random interleavings of posts and arrivals (eager data
+and rendezvous announcements alike) against a simple reference model (a
+per-(peer, tag) FIFO queue with MPI matching semantics); the real table
+must agree at every step.
 """
 
 from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import MatchingTable
+from repro.core.matching import MatchingTable, UnexpectedRts
 from repro.core.packets import Chunk
 from repro.core.requests import ANY_TAG, RecvRequest
 from repro.sim import Engine, Machine, quad_xeon_x5460
@@ -18,7 +19,8 @@ from repro.sim import Engine, Machine, quad_xeon_x5460
 class ReferenceModel:
     """Spec: arrivals match the oldest posted receive whose (peer, tag)
     accepts them; otherwise they queue as unexpected.  Posts claim the
-    oldest matching unexpected arrival first."""
+    oldest matching unexpected arrival first, whatever its protocol (MPI's
+    non-overtaking rule)."""
 
     def __init__(self) -> None:
         self.posted: deque[tuple[int, int, int]] = deque()  # (peer, tag, id)
@@ -45,11 +47,13 @@ class ReferenceModel:
         return None
 
 
-# operations: ("post", peer, tag) | ("arrive", src, tag)
+# operations: ("post", peer, tag) | ("arrive" | "arrive-rts", src, tag)
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("post"), st.integers(0, 1), st.sampled_from([0, 1, 2, ANY_TAG])),
-        st.tuples(st.just("arrive"), st.integers(0, 1), st.integers(0, 2)),
+        st.tuples(
+            st.sampled_from(["arrive", "arrive-rts"]), st.integers(0, 1), st.integers(0, 2)
+        ),
     ),
     min_size=1,
     max_size=30,
@@ -72,20 +76,25 @@ def test_matching_agrees_with_reference(operations):
             req_by_id[req.req_id] = req
             # real table: posting only; unexpected claims are the library's
             # job, emulate it like repro.core.library does
-            chunks = table.take_unexpected_chunks(req)
-            if chunks:
+            claimed = table.take_unexpected(req)
+            if claimed is not None:
                 expected_mid = model.post(peer, tag, req.req_id)
                 assert expected_mid is not None, "table matched, model did not"
-                assert chunks[0].send_req_id == expected_mid
+                if not isinstance(claimed, UnexpectedRts):
+                    claimed = claimed[0]
+                assert claimed.send_req_id == expected_mid
             else:
                 assert model.post(peer, tag, req.req_id) is None
                 table.post(req)
         else:
-            _, src, tag = op
+            kind, src, tag = op
             msg_counter += 1
-            chunk = Chunk(src, 10_000 + msg_counter, tag, 100, 0, 100)
-            got = table.match_chunk(chunk)
-            expected_rid = model.arrive(src, tag, 10_000 + msg_counter)
+            mid = 10_000 + msg_counter
+            if kind == "arrive":
+                got = table.match_chunk(Chunk(src, mid, tag, 100, 0, 100))
+            else:
+                got = table.match_rts(src, mid, tag, 100)
+            expected_rid = model.arrive(src, tag, mid)
             if expected_rid is None:
                 assert got is None, "table matched, model stashed"
             else:
@@ -94,4 +103,4 @@ def test_matching_agrees_with_reference(operations):
 
     # final queue sizes agree
     assert table.posted_count == len(model.posted)
-    assert len(table.unexpected_chunks()) == len(model.unexpected)
+    assert table.unexpected_count == len(model.unexpected)

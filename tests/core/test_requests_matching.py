@@ -132,7 +132,7 @@ class TestMatchingPosted:
         c2 = chunk(offset=60, length=40)
         table.match_chunk(c2)
         table.finish_chunk(c2, req)
-        assert table._in_progress == {}
+        assert table.in_progress_count == 0
 
 
 class TestMatchingUnexpected:
@@ -141,7 +141,7 @@ class TestMatchingUnexpected:
         c = chunk()
         assert table.match_chunk(c) is None
         req = RecvRequest(m, 1, 5, 100)
-        taken = table.take_unexpected_chunks(req)
+        taken = table.take_unexpected(req)
         assert taken == [c]
         assert table.unexpected_count == 0
         assert table.unexpected_hits == 1
@@ -151,7 +151,7 @@ class TestMatchingUnexpected:
         table.match_chunk(chunk(req_id=10))
         table.match_chunk(chunk(req_id=11))  # a different message, same tag
         req = RecvRequest(m, 1, 5, 100)
-        taken = table.take_unexpected_chunks(req)
+        taken = table.take_unexpected(req)
         assert len(taken) == 1
         assert taken[0].send_req_id == 10
         assert table.unexpected_count == 1
@@ -161,13 +161,13 @@ class TestMatchingUnexpected:
         table.match_chunk(chunk(req_id=10, offset=0, length=50))
         table.match_chunk(chunk(req_id=10, offset=50, length=50))
         req = RecvRequest(m, 1, 5, 100)
-        assert len(table.take_unexpected_chunks(req)) == 2
+        assert len(table.take_unexpected(req)) == 2
 
     def test_non_matching_post_takes_nothing(self):
         m, table = machine(), MatchingTable()
         table.match_chunk(chunk(tag=5))
         req = RecvRequest(m, 1, 99, 100)
-        assert table.take_unexpected_chunks(req) == []
+        assert table.take_unexpected(req) is None
         assert table.unexpected_count == 1
 
 
@@ -186,8 +186,8 @@ class TestMatchingRts:
         m, table = machine(), MatchingTable()
         assert table.match_rts(1, 77, 5, 64_000) is None
         req = RecvRequest(m, 1, 5, 64_000)
-        rts = table.take_unexpected_rts(req)
-        assert rts is not None and rts.req_id == 77
+        rts = table.take_unexpected(req)
+        assert rts is not None and rts.send_req_id == 77
 
     def test_rts_buffer_too_small(self):
         m, table = machine(), MatchingTable()
@@ -195,8 +195,8 @@ class TestMatchingRts:
         with pytest.raises(RuntimeError):
             table.match_rts(1, 77, 5, 64_000)
 
-    def test_take_unexpected_rts_respects_filter(self):
+    def test_take_rts_respects_filter(self):
         m, table = machine(), MatchingTable()
         table.match_rts(2, 77, 5, 100)
         req = RecvRequest(m, 1, 5, 100)
-        assert table.take_unexpected_rts(req) is None
+        assert table.take_unexpected(req) is None

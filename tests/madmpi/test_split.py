@@ -102,6 +102,27 @@ class TestSplit:
         results = run_ranks(bed, comms, rank_fn)
         assert results[1] == ("sub-msg", "parent-msg")
 
+    def test_wildcard_probe_ignores_parent_messages(self):
+        """An ANY_TAG probe on a sub-communicator must not report a
+        message sent on the parent communicator."""
+        bed, comms = world(2)
+
+        def rank_fn(comm):
+            sub = yield from comm.Split(color=0)
+            if comm.rank == 0:
+                yield from comm.send("parent-msg", 1, tag=5)
+                return None
+            from repro.sim.process import Delay
+
+            yield Delay(50_000)  # parent-msg is already here, unexpected
+            found_sub, _ = yield from sub.Iprobe(0, ANY_TAG)
+            found_parent, _ = yield from comm.Iprobe(0, ANY_TAG)
+            parent_obj = yield from comm.recv(0, tag=5)
+            return (found_sub, found_parent, parent_obj)
+
+        results = run_ranks(bed, comms, rank_fn)
+        assert results[1] == (False, True, "parent-msg")
+
     def test_nested_split(self):
         bed, comms = world(4)
 

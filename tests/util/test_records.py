@@ -63,12 +63,6 @@ class TestResultSet:
         with pytest.raises(ValueError):
             rs.point("c", 8)
 
-    def test_filter(self):
-        rs = ResultSet([rec(size=1), rec(size=2), rec(size=3)])
-        small = rs.filter(lambda r: r.size <= 2)
-        assert len(small) == 2
-        assert len(rs) == 3  # original unchanged
-
     def test_json_roundtrip(self):
         rs = ResultSet([rec(size=1, lat=3.25, note="x"), rec(config="fine", size=2048)])
         rs2 = ResultSet.from_json(rs.to_json())
