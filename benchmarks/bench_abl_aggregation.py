@@ -8,13 +8,8 @@ Expected shape: aggregation sends fewer packets and finishes the burst
 sooner than the one-packet-per-message default.
 """
 
-from repro.core import (
-    AggregatingStrategy,
-    BusyWait,
-    DefaultStrategy,
-    PacketKind,
-    build_testbed,
-)
+from repro.bench.bandwidth import stream
+from repro.core import AggregatingStrategy, DefaultStrategy, PacketKind, build_testbed
 from repro.pioman import IdleCoreSubmit, attach_pioman, set_offload
 
 BURST = 32
@@ -27,31 +22,9 @@ def run_burst(strategy_factory) -> tuple[float, int]:
     for node in (0, 1):
         attach_pioman(bed.machine(node), [bed.lib(node)], poll_cores=[1])
         set_offload(bed.lib(node), IdleCoreSubmit())
-    done = {}
-
-    def sender():
-        lib = bed.lib(0)
-        reqs = []
-        for i in range(BURST):
-            req = yield from lib.isend(1, 60, SIZE)
-            reqs.append(req)
-        for req in reqs:
-            yield from lib.wait(req, BusyWait())
-
-    def receiver():
-        lib = bed.lib(1)
-        reqs = []
-        for i in range(BURST):
-            req = yield from lib.irecv(0, 60, SIZE)
-            reqs.append(req)
-        for req in reqs:
-            yield from lib.wait(req, BusyWait())
-        done["at"] = bed.engine.now
-
-    ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
-    tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run_until_done(ts, tr)
-    return done["at"] / 1000, bed.lib(0).packets_posted[PacketKind.DATA]
+    # a window as large as the burst: every send is posted before any wait
+    makespan_ns = stream(bed, SIZE, BURST, window=BURST)
+    return makespan_ns / 1000, bed.lib(0).packets_posted[PacketKind.DATA]
 
 
 def test_aggregation_reduces_packets_and_time(benchmark):

@@ -7,30 +7,15 @@ Expected shape: splitting across both rails roughly halves the transfer
 time of bandwidth-bound messages; small messages are not split.
 """
 
-from repro.core import BusyWait, DefaultStrategy, MultirailStrategy, build_testbed
+from repro.bench.bandwidth import stream
+from repro.core import DefaultStrategy, MultirailStrategy, build_testbed
 
 SIZE = 512 * 1024
 
 
 def run_transfer(strategy_factory, rails: int) -> float:
     bed = build_testbed(policy="fine", rails=rails, strategy_factory=strategy_factory)
-    done = {}
-
-    def sender():
-        lib = bed.lib(0)
-        req = yield from lib.isend(1, 9, SIZE)
-        yield from lib.wait(req, BusyWait())
-
-    def receiver():
-        lib = bed.lib(1)
-        req = yield from lib.irecv(0, 9, SIZE)
-        yield from lib.wait(req, BusyWait())
-        done["at"] = bed.engine.now
-
-    ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
-    tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
-    bed.run_until_done(ts, tr)
-    return done["at"] / 1000
+    return stream(bed, SIZE, messages=1, window=1) / 1000
 
 
 def test_multirail_speedup(benchmark):

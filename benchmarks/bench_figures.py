@@ -8,7 +8,7 @@ shape it guards.
 
 import pytest
 
-from repro.bench.locking import FIG5_SATURATION_FLOWS
+from repro.bench.figures import FIG5_SATURATION_FLOWS
 
 
 def fig3(results):

@@ -10,15 +10,10 @@ to a sequential run.
 
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
 from repro.bench.parallel import WORKERS_ENV, resolve_workers
-from repro.bench.overlap import (
-    DEFAULT_COMPUTE_NS,
-    OFFLOAD_MODES,
-    build_overlap_bed,
-    make_offload,
-    run_overlap,
-)
 from repro.bench.pingpong import (
     PingPongResult,
+    Series,
+    latency_point,
     ping_thread,
     pong_thread,
     run_concurrent_pingpong,
@@ -30,12 +25,9 @@ __all__ = [
     "OVERLAP_SIZES",
     "PAPER_SIZES",
     "BenchConfig",
-    "DEFAULT_COMPUTE_NS",
-    "OFFLOAD_MODES",
-    "build_overlap_bed",
-    "make_offload",
-    "run_overlap",
     "PingPongResult",
+    "Series",
+    "latency_point",
     "ping_thread",
     "pong_thread",
     "run_concurrent_pingpong",

@@ -1,89 +1,17 @@
-"""Measurement functions for the cache-affinity experiments (Fig. 8, §4.1)
-and the dedicated-core computation-loss experiment (§3.3).
+"""The cache-affinity claims (Fig. 8, §4.1) and the dedicated-core
+computation-loss experiment (§3.3).
 
 Figure 8's instrument: "a pingpong test that binds the main thread to a
-CPU" while the polling is delegated to a chosen core — here via PIOMan's
-``poll_cores`` and passive waiting, so every completion crosses from the
-polling core to CPU 0.
+CPU" while the polling is delegated to a chosen core — its series are in
+:data:`repro.bench.figures.LATENCY_SERIES`; :func:`affinity_deltas` reads
+the per-core cost off them.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable
-
-from repro.bench.config import BenchConfig
-from repro.bench.pingpong import run_pingpong
-from repro.bench.runner import run_sweep
-from repro.core.session import build_testbed
-from repro.core.waiting import BusyWait, FlagSpinWait
-from repro.pioman.integration import attach_pioman
 from repro.sim.process import Delay, SimGen, YieldCore
-from repro.sim.topology import CacheTopology, dual_quad_xeon, quad_xeon_x5460
+from repro.sim.topology import quad_xeon_x5460
 from repro.util.records import ResultSet
-
-
-def polling_latency(
-    poll_core: int,
-    size: int,
-    cfg: BenchConfig,
-    *,
-    topology_factory: Callable[[], CacheTopology] = quad_xeon_x5460,
-) -> float:
-    """Pingpong latency (us) with the app thread bound to CPU 0 and the
-    polling bound to ``poll_core`` on both nodes.
-
-    ``poll_core == 0`` is the baseline: the application thread polls
-    itself (ordinary busy waiting).  For other cores, the application only
-    spins on the completion flag while PIOMan polls from the chosen core's
-    idle loop — so the delta over the baseline is the poller-to-waiter
-    cache transfer, exactly what Fig. 8 plots.
-    """
-    bed = build_testbed(
-        policy="fine",
-        topology_factory=topology_factory,
-        seed=cfg.seed,
-        jitter_ns=cfg.jitter_ns,
-    )
-    for node in (0, 1):
-        attach_pioman(bed.machine(node), [bed.lib(node)], poll_cores=[poll_core])
-    wait_factory = BusyWait if poll_core == 0 else FlagSpinWait
-    res = run_pingpong(
-        bed,
-        size,
-        iterations=cfg.iterations,
-        warmup=cfg.warmup,
-        wait_factory=wait_factory,
-        core_a=0,
-        core_b=0,
-    )
-    return res.latency_us
-
-
-def run_fig8(cfg: BenchConfig | None = None) -> ResultSet:
-    """Figure 8: polling on CPU 0/1/2/3 of the quad-core Xeon X5460."""
-    cfg = cfg or BenchConfig()
-    configs = {
-        f"polling on cpu {core}": partial(polling_latency, core, cfg=cfg)
-        for core in range(4)
-    }
-    return run_sweep("fig8", configs, cfg)
-
-
-def run_fig8b(cfg: BenchConfig | None = None) -> ResultSet:
-    """§4.1 in-text: the same experiment on the dual quad-core node.
-
-    CPU 1 shares a cache with CPU 0, CPUs 2-3 share the chip only, CPUs
-    4-7 sit on the other chip; one representative of each tier is enough.
-    """
-    cfg = cfg or BenchConfig()
-    configs = {
-        f"polling on cpu {core}": partial(
-            polling_latency, core, cfg=cfg, topology_factory=dual_quad_xeon
-        )
-        for core in (0, 1, 2, 4)
-    }
-    return run_sweep("fig8b", configs, cfg)
 
 
 def affinity_deltas(results: ResultSet) -> dict[str, float]:

@@ -11,33 +11,28 @@ constant latency offsets.
 from __future__ import annotations
 
 from repro.bench.config import BenchConfig
-from repro.core.session import build_testbed
+from repro.core.session import TestBed, build_testbed
 from repro.core.waiting import BusyWait
 from repro.util.records import ResultRecord, ResultSet
 
 
-def stream_bandwidth_mbps(
-    policy: str,
-    size: int,
-    *,
-    messages: int = 32,
-    window: int = 4,
-    seed: int = 0,
-) -> float:
-    """Sustained bandwidth (MB/s) streaming ``messages`` of ``size`` bytes.
+def stream(bed: TestBed, size: int, messages: int, window: int) -> int:
+    """Stream ``messages`` of ``size`` bytes from node 0 to node 1 on
+    ``bed``; returns the makespan (ns) until the last receive completes.
 
     The sender keeps ``window`` sends in flight (non-blocking, waiting on
-    the oldest), the classic bandwidth-test shape.
+    the oldest), the classic bandwidth-test shape; a window of at least
+    ``messages`` posts the whole burst before waiting on any send.  The
+    receiver posts every receive up front.
     """
     if messages <= 0 or window <= 0:
         raise ValueError("messages and window must be > 0")
-    bed = build_testbed(policy=policy, seed=seed)
     done = {}
 
     def sender():
         lib = bed.lib(0)
         inflight = []
-        for i in range(messages):
+        for _ in range(messages):
             req = yield from lib.isend(1, 11, size)
             inflight.append(req)
             if len(inflight) >= window:
@@ -58,9 +53,21 @@ def stream_bandwidth_mbps(
     ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0, bound=True)
     tr = bed.machine(1).scheduler.spawn(receiver(), name="r", core=0, bound=True)
     bed.run_until_done(ts, tr)
-    total_bytes = messages * size
-    seconds = done["at"] / 1e9
-    return total_bytes / seconds / 1e6
+    return done["at"]
+
+
+def stream_bandwidth_mbps(
+    policy: str,
+    size: int,
+    *,
+    messages: int = 32,
+    window: int = 4,
+    seed: int = 0,
+) -> float:
+    """Sustained bandwidth (MB/s) streaming ``messages`` of ``size`` bytes
+    with ``window`` sends in flight (:func:`stream`)."""
+    makespan_ns = stream(build_testbed(policy=policy, seed=seed), size, messages, window)
+    return messages * size / (makespan_ns / 1e9) / 1e6
 
 
 def run_bandwidth_sweep(

@@ -18,14 +18,23 @@ Results are deterministically identical at any worker count.
 from __future__ import annotations
 
 import argparse
+from functools import partial
 from typing import Callable
 
-from repro.analysis.fit import constant_offset
-from repro.bench import affinity, lockcost, locking, overlap, waiting
+from repro.analysis.fit import constant_offset, ratio_series
+from repro.bench import affinity, lockcost, waiting
 from repro.bench.config import OVERLAP_SIZES, PAPER_SIZES, BenchConfig
 from repro.bench.paper import PaperClaim, claim
+from repro.bench.pingpong import Series, latency_point
 from repro.bench.report import print_figure
-from repro.bench.runner import add_session_arguments, session_options, sweep_session
+from repro.bench.runner import (
+    add_session_arguments,
+    run_sweep,
+    session_options,
+    sweep_session,
+)
+from repro.core.waiting import BusyWait, FlagSpinWait, PassiveWait, PiomanBusyWait
+from repro.sim.topology import dual_quad_xeon
 from repro.util.records import ResultRecord, ResultSet
 
 FigureResult = tuple[ResultSet, list[tuple[PaperClaim, float]]]
@@ -50,10 +59,118 @@ def _cfg(quick: bool, sizes=PAPER_SIZES) -> BenchConfig:
     )
 
 
+#: flow count at which the simulated node reaches the message-rate
+#: saturation the 2009 testbed hit with two threads.  The simulated
+#: MX path has roughly twice the per-message capacity of the paper's
+#: NewMadeleine/MX stack, so the Fig. 5 saturation point shifts from 2
+#: concurrent flows to 4; the coarse-vs-fine contrast is evaluated there
+#: (see EXPERIMENTS.md).
+FIG5_SATURATION_FLOWS = 4
+
+#: per-message timing noise used for the concurrent runs: real hardware
+#: noise is what keeps concurrent flows colliding on the locks instead of
+#: settling into a deterministic anti-phase schedule
+FIG5_JITTER_NS = 120
+
+#: the computing phase Fig. 9 inserts between ``nm_isend`` and ``nm_wait``
+FIG9_COMPUTE_NS = 10_000
+
+
+def _fig9(offload: str | None) -> Series:
+    # polling on the shared-L2 sibling of the application's CPU 0; the
+    # figure is measured without the sweep jitter
+    return Series(
+        "fine", poll_core=1, offload=offload, jitter_ns=0, compute_ns=FIG9_COMPUTE_NS
+    )
+
+
+def _polling_on(core: int, **kw) -> Series:
+    # Fig. 8: the application thread stays on CPU 0; with PIOMan polling
+    # elsewhere it only spins on the completion flag, so the delta over
+    # CPU 0 (ordinary busy waiting) is the poller-to-waiter cache transfer
+    return Series(
+        "fine", wait=BusyWait if core == 0 else FlagSpinWait, poll_core=core, **kw
+    )
+
+
+#: every latency figure as a table of series: each one the paper's
+#: pingpong with one mechanism changed.  Figs. 6/7 keep PIOMan's polling
+#: on the application's core to isolate its costs from cache affinity.
+LATENCY_SERIES: dict[str, dict[str, Series]] = {
+    "fig3": {p: Series(p) for p in ("none", "coarse", "fine")},
+    "fig5": {
+        # one flow cannot collide with itself: the baseline has no jitter
+        "1 thread": Series("fine", jitter_ns=0),
+        **{
+            f"{p} ({n} threads)": Series(p, flows=n, jitter_ns=FIG5_JITTER_NS)
+            for p in ("coarse", "fine")
+            for n in (2, FIG5_SATURATION_FLOWS)
+        },
+    },
+    "fig6": {
+        "coarse": Series("coarse"),
+        "pioman (coarse)": Series("coarse", wait=PiomanBusyWait, poll_core=0),
+        "fine": Series("fine"),
+        "pioman (fine)": Series("fine", wait=PiomanBusyWait, poll_core=0),
+    },
+    "fig7": {
+        f"{mode} ({p})": Series(p, wait=wait, poll_core=0)
+        for p in ("coarse", "fine")
+        for mode, wait in (("active", PiomanBusyWait), ("passive", PassiveWait))
+    },
+    "fig8": {f"polling on cpu {c}": _polling_on(c) for c in range(4)},
+    # CPU 1 shares a cache with CPU 0, CPUs 2-3 share the chip only, CPUs
+    # 4-7 sit on the other chip; one representative of each tier is enough
+    "fig8b": {
+        f"polling on cpu {c}": _polling_on(c, topology=dual_quad_xeon)
+        for c in (0, 1, 2, 4)
+    },
+    "fig9": {
+        "reference": _fig9(None),
+        "no tasklets": _fig9("idle-core"),
+        "tasklets": _fig9("tasklet"),
+    },
+}
+
+
+def run_latency(name: str, cfg: BenchConfig) -> ResultSet:
+    """Sweep every series of the latency figure ``name`` over ``cfg``."""
+    table = LATENCY_SERIES[name]
+    return run_sweep(
+        name,
+        {label: partial(latency_point, series, cfg=cfg) for label, series in table.items()},
+        cfg,
+        extra=lambda label, size: (
+            {"nflows": table[label].flows} if table[label].flows > 1 else {}
+        ),
+    )
+
+
+def fig3_offsets(results: ResultSet) -> dict[str, float]:
+    """Per-policy constant offsets over the no-locking baseline, in ns."""
+    base = results.series("none")
+    out = {}
+    for policy in ("coarse", "fine"):
+        fit = constant_offset(base, results.series(policy))
+        out[policy] = fit.offset_ns * 1_000  # series are in us
+    return out
+
+
+def fig5_ratios(results: ResultSet) -> dict[str, list[tuple[int, float]]]:
+    """Per-size latency ratios of each concurrent series over the
+    single-thread baseline — the paper's 'roughly twice' claim."""
+    base = results.series("1 thread")
+    return {
+        config: ratio_series(base, results.series(config))
+        for config in results.configs()
+        if config != "1 thread"
+    }
+
+
 def fig3(quick: bool = False) -> FigureResult:
     """Figure 3: impact of locking on latency."""
-    results = locking.run_fig3(_cfg(quick))
-    offsets = locking.fig3_offsets(results)
+    results = run_latency("fig3", _cfg(quick))
+    offsets = fig3_offsets(results)
     coarse_fit = constant_offset(results.series("none"), results.series("coarse"))
     checks = [
         (claim("fig3-coarse-offset"), offsets["coarse"]),
@@ -67,13 +184,13 @@ def fig5(quick: bool = False) -> FigureResult:
     """Figure 5: concurrent pingpongs.
 
     The paper's claims are evaluated at the node's saturation flow count
-    (see :data:`repro.bench.locking.FIG5_SATURATION_FLOWS`): the simulated
-    MX path has about twice the message capacity of the 2009 stack, so the
-    two-thread saturation of the paper appears at four flows here.
+    (:data:`FIG5_SATURATION_FLOWS`): the simulated MX path has about twice
+    the message capacity of the 2009 stack, so the two-thread saturation
+    of the paper appears at four flows here.
     """
-    results = locking.run_fig5(_cfg(quick))
-    ratios = locking.fig5_ratios(results)
-    sat = locking.FIG5_SATURATION_FLOWS
+    results = run_latency("fig5", _cfg(quick))
+    ratios = fig5_ratios(results)
+    sat = FIG5_SATURATION_FLOWS
 
     def mean_ratio(config: str) -> float:
         vals = [r for _, r in ratios[config]]
@@ -90,7 +207,7 @@ def fig5(quick: bool = False) -> FigureResult:
 
 def fig6(quick: bool = False) -> FigureResult:
     """Figure 6: impact of PIOMan on latency."""
-    results = waiting.run_fig6(_cfg(quick))
+    results = run_latency("fig6", _cfg(quick))
     fit = constant_offset(results.series("fine"), results.series("pioman (fine)"))
     checks = [(claim("fig6-pioman-offset"), fit.offset_ns * 1_000)]
     return results, checks
@@ -98,7 +215,7 @@ def fig6(quick: bool = False) -> FigureResult:
 
 def fig7(quick: bool = False) -> FigureResult:
     """Figure 7: impact of semaphores (passive waiting) on latency."""
-    results = waiting.run_fig7(_cfg(quick))
+    results = run_latency("fig7", _cfg(quick))
     fit = constant_offset(
         results.series("active (fine)"), results.series("passive (fine)")
     )
@@ -108,7 +225,7 @@ def fig7(quick: bool = False) -> FigureResult:
 
 def fig8(quick: bool = False) -> FigureResult:
     """Figure 8: impact of cache affinity on a quad-core chip."""
-    results = affinity.run_fig8(_cfg(quick))
+    results = run_latency("fig8", _cfg(quick))
     deltas = affinity.affinity_deltas(results)
     far = (deltas["polling on cpu 2"] + deltas["polling on cpu 3"]) / 2
     checks = [
@@ -120,7 +237,7 @@ def fig8(quick: bool = False) -> FigureResult:
 
 def fig8b(quick: bool = False) -> FigureResult:
     """§4.1 in-text: cache affinity on the dual quad-core node."""
-    results = affinity.run_fig8b(_cfg(quick))
+    results = run_latency("fig8b", _cfg(quick))
     deltas = affinity.affinity_deltas(results)
     checks = [
         (claim("fig8b-shared-l2"), deltas["polling on cpu 1"]),
@@ -132,8 +249,7 @@ def fig8b(quick: bool = False) -> FigureResult:
 
 def fig9(quick: bool = False) -> FigureResult:
     """Figure 9: impact of tasklets on deferred message submission."""
-    cfg = _cfg(quick, sizes=OVERLAP_SIZES)
-    results = overlap.run_fig9(cfg)
+    results = run_latency("fig9", _cfg(quick, sizes=OVERLAP_SIZES))
     ref = results.series("reference")
     tasklet_fit = constant_offset(ref, results.series("tasklets"))
     idle_fit = constant_offset(ref, results.series("no tasklets"))

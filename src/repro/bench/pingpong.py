@@ -1,10 +1,11 @@
-"""Pingpong workload drivers.
+"""Pingpong workload drivers and the one latency point of every figure.
 
 The paper's measurement instrument is always a pingpong: single-threaded
 (Fig. 3, 6, 7), concurrent with two thread pairs (Fig. 5), with bound
 threads and delegated polling (Fig. 8), or with an inserted compute phase
 (Fig. 9).  This module provides those drivers over a
-:class:`~repro.core.session.TestBed`.
+:class:`~repro.core.session.TestBed`, and :func:`latency_point`, which
+measures one (:class:`Series`, size) point of any latency figure.
 
 All latencies are reported as half the measured round-trip, matching the
 papers' convention.
@@ -13,11 +14,17 @@ papers' convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Type
 
-from repro.core.session import TestBed
+from repro.bench.config import BenchConfig
+from repro.core.session import TestBed, build_testbed
 from repro.core.waiting import BusyWait, WaitStrategy
+from repro.net.drivers.base import Driver
+from repro.net.drivers.mx import MXDriver
+from repro.pioman.integration import attach_pioman
+from repro.pioman.offload import IdleCoreSubmit, TaskletSubmit, set_offload
 from repro.sim.process import Delay, SimGen
+from repro.sim.topology import CacheTopology, quad_xeon_x5460
 from repro.util.units import ns_to_us
 
 WaitFactory = Callable[[], WaitStrategy]
@@ -218,3 +225,82 @@ def run_concurrent_pingpong(
     return [
         PingPongResult(size=size, rtts_ns=rtts, warmup=warmup) for _, _, rtts in flows
     ]
+
+
+@dataclass(frozen=True)
+class Series:
+    """One curve of a latency figure: the pingpong with one mechanism set.
+
+    ``poll_core`` attaches PIOMan on both nodes with background polling
+    on that core (``None``: no PIOMan); ``offload`` then hands message
+    submission to the idle cores (``"idle-core"``) or to a tasklet on the
+    polling core (``"tasklet"``); ``None`` submits inline.  ``flows > 1``
+    runs that many concurrent pingpongs and reports their mean.
+    ``jitter_ns`` ``None`` takes the sweep config's jitter.
+    """
+
+    policy: str
+    wait: WaitFactory = BusyWait
+    poll_core: int | None = None
+    offload: str | None = None
+    topology: Callable[[], CacheTopology] = quad_xeon_x5460
+    driver: Type[Driver] = MXDriver
+    flows: int = 1
+    jitter_ns: int | None = None
+    compute_ns: int = 0
+
+    def __post_init__(self) -> None:
+        if self.offload not in (None, "idle-core", "tasklet"):
+            raise ValueError(
+                f"unknown offload {self.offload!r}; choose None, 'idle-core' or 'tasklet'"
+            )
+        if self.offload is not None and self.poll_core is None:
+            raise ValueError("a submission offload needs PIOMan: set poll_core")
+
+    def testbed(self, cfg: BenchConfig) -> TestBed:
+        """The two-node testbed this series measures on, seeded by ``cfg``."""
+        bed = build_testbed(
+            policy=self.policy,
+            topology_factory=self.topology,
+            driver_cls=self.driver,
+            seed=cfg.seed,
+            jitter_ns=cfg.jitter_ns if self.jitter_ns is None else self.jitter_ns,
+        )
+        if self.poll_core is not None:
+            for node in (0, 1):
+                attach_pioman(
+                    bed.machine(node), [bed.lib(node)], poll_cores=[self.poll_core]
+                )
+                if self.offload == "idle-core":
+                    set_offload(bed.lib(node), IdleCoreSubmit())
+                elif self.offload == "tasklet":
+                    set_offload(bed.lib(node), TaskletSubmit(target_core=self.poll_core))
+        return bed
+
+
+def latency_point(series: Series, size: int, cfg: BenchConfig) -> float:
+    """One latency point (us) of ``series`` at ``size`` on a fresh testbed.
+
+    Module-level, so ``run_sweep`` can ship ``partial(latency_point,
+    series, cfg=cfg)`` to worker processes.
+    """
+    bed = series.testbed(cfg)
+    if series.flows > 1:
+        flows = run_concurrent_pingpong(
+            bed,
+            size,
+            nflows=series.flows,
+            iterations=cfg.iterations,
+            warmup=cfg.warmup,
+            wait_factory=series.wait,
+        )
+        return sum(f.latency_us for f in flows) / len(flows)
+    res = run_pingpong(
+        bed,
+        size,
+        iterations=cfg.iterations,
+        warmup=cfg.warmup,
+        wait_factory=series.wait,
+        compute_ns=series.compute_ns,
+    )
+    return res.latency_us

@@ -1,7 +1,9 @@
 """Parameter sweeps: turn per-point measurement functions into ResultSets.
 
-:func:`run_sweep` is the funnel of every workload scenario and of seven
-figures (fig3, fig5, fig6, fig7, fig8, fig8b, fig9).  The other four —
+:func:`run_sweep` is the funnel of every workload scenario and of the
+seven latency figures (fig3, fig5, fig6, fig7, fig8, fig8b, fig9), whose
+points are all :func:`repro.bench.pingpong.latency_point` over one
+:class:`~repro.bench.pingpong.Series` each.  The other four —
 ``lockcost``, ``dedicated-core``, ``fixed-spin`` and ``decompose`` —
 measure directly and bypass it.  It is where the two pipeline
 optimisations meet:

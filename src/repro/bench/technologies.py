@@ -15,9 +15,8 @@ from functools import partial
 from typing import Type
 
 from repro.bench.config import BenchConfig
-from repro.bench.pingpong import run_pingpong
+from repro.bench.pingpong import Series, latency_point
 from repro.bench.runner import run_sweep
-from repro.core.session import build_testbed
 from repro.net.drivers.base import Driver
 from repro.net.drivers.ib import IBDriver
 from repro.net.drivers.mx import MXDriver
@@ -41,14 +40,7 @@ def technology_latency(
         raise ValueError(
             f"unknown technology {tech!r}; choose from {sorted(TECHNOLOGIES)}"
         ) from None
-    bed = build_testbed(
-        policy=policy,
-        driver_cls=driver_cls,
-        seed=cfg.seed,
-        jitter_ns=cfg.jitter_ns,
-    )
-    res = run_pingpong(bed, size, iterations=cfg.iterations, warmup=cfg.warmup)
-    return res.latency_us
+    return latency_point(Series(policy, driver=driver_cls), size, cfg)
 
 
 def run_technology_sweep(cfg: BenchConfig | None = None) -> ResultSet:

@@ -1,88 +1,16 @@
-"""Measurement functions for the waiting experiments (Figures 6, 7, §3.3).
-
-* Figure 6 — PIOMan's management overhead: busy waiting directly on the
-  library vs. through PIOMan, under both locking policies.
-* Figure 7 — active vs. passive (semaphore) waiting, both via PIOMan.
-* §3.3 fixed-spin — latency vs. the spin threshold when the event arrives
-  after a controlled delay (Karlin et al.'s competitive spinning).
+"""The §3.3 fixed-spin experiment: latency vs. the spin threshold when the
+event arrives after a controlled delay (Karlin et al.'s competitive
+spinning).  Figures 6 and 7 are ordinary latency series
+(:data:`repro.bench.figures.LATENCY_SERIES`).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable
-
-from repro.bench.config import BenchConfig
-from repro.bench.pingpong import run_pingpong
-from repro.bench.runner import run_sweep
-from repro.core.session import TestBed, build_testbed
-from repro.core.waiting import (
-    BusyWait,
-    FixedSpinWait,
-    PassiveWait,
-    PiomanBusyWait,
-    WaitStrategy,
-)
+from repro.core.session import build_testbed
+from repro.core.waiting import FixedSpinWait
 from repro.pioman.integration import attach_pioman
 from repro.sim.process import Delay
 from repro.util.records import ResultRecord, ResultSet
-
-
-def _bed(policy: str, cfg: BenchConfig, *, pioman: bool) -> TestBed:
-    bed = build_testbed(policy=policy, seed=cfg.seed, jitter_ns=cfg.jitter_ns)
-    if pioman:
-        for node in (0, 1):
-            # polling stays on the application's core: Figs. 6/7 isolate
-            # the PIOMan/semaphore costs from cache-affinity effects
-            attach_pioman(bed.machine(node), [bed.lib(node)], poll_cores=[0])
-    return bed
-
-
-def _latency(
-    policy: str,
-    size: int,
-    cfg: BenchConfig,
-    wait_factory: Callable[[], WaitStrategy],
-    *,
-    pioman: bool,
-) -> float:
-    bed = _bed(policy, cfg, pioman=pioman)
-    res = run_pingpong(
-        bed, size, iterations=cfg.iterations, warmup=cfg.warmup,
-        wait_factory=wait_factory,
-    )
-    return res.latency_us
-
-
-def run_fig6(cfg: BenchConfig | None = None) -> ResultSet:
-    """Figure 6: impact of PIOMan on latency.
-
-    Four series: {coarse, fine} × {direct busy wait, PIOMan busy wait}.
-    """
-    cfg = cfg or BenchConfig()
-    configs = {}
-    for policy in ("coarse", "fine"):
-        configs[f"{policy}"] = partial(
-            _latency, policy, cfg=cfg, wait_factory=BusyWait, pioman=False
-        )
-        configs[f"pioman ({policy})"] = partial(
-            _latency, policy, cfg=cfg, wait_factory=PiomanBusyWait, pioman=True
-        )
-    return run_sweep("fig6", configs, cfg)
-
-
-def run_fig7(cfg: BenchConfig | None = None) -> ResultSet:
-    """Figure 7: impact of semaphores (active vs. passive waiting)."""
-    cfg = cfg or BenchConfig()
-    configs = {}
-    for policy in ("coarse", "fine"):
-        configs[f"active ({policy})"] = partial(
-            _latency, policy, cfg=cfg, wait_factory=PiomanBusyWait, pioman=True
-        )
-        configs[f"passive ({policy})"] = partial(
-            _latency, policy, cfg=cfg, wait_factory=PassiveWait, pioman=True
-        )
-    return run_sweep("fig7", configs, cfg)
 
 
 def run_fixed_spin_sweep(

@@ -240,7 +240,7 @@ class NewMadeleine:
         self.isend_count += 1
         req.stamp("submitted")
         req.submit_core = yield WhereAmI()
-        inline = self.submit_offload is None or self.submit_offload.inline
+        inline = self.submit_offload is None
         yield self._acq_send
         yield self._acq_collect
         yield self._eff_submit
@@ -419,7 +419,7 @@ class NewMadeleine:
 
     def probe(self, peer: int, tag: int, *, tag_bounds=None) -> SimGen:
         """Non-blocking probe: has a matching message arrived that no
-        posted receive claimed yet?  Returns ``(found, size)``.
+        posted receive claimed yet?  Returns ``(found, size, tag)``.
 
         Reports the stashed arrival (eager data or rendezvous announcement)
         that an ``irecv`` with the same arguments would claim; runs one
@@ -433,8 +433,8 @@ class NewMadeleine:
             peer, lambda t: tag_accepts(tag, tag_bounds, t)
         )
         if entry is None:
-            return False, None
-        return True, entry.msg_size
+            return False, None, None
+        return True, entry.msg_size, entry.tag
 
     # ------------------------------------------------------------ receive path
 

@@ -71,6 +71,7 @@ class MatchingTable:
         for req in self._posted:
             if req.peer == src_node and req.matches(tag):
                 self._posted.remove(req)
+                req.matched_tag = tag
                 return req
         return None
 
@@ -153,6 +154,7 @@ class MatchingTable:
         first = self.find_unexpected(req.peer, req.matches)
         if first is None:
             return None
+        req.matched_tag = first.tag
         key = (first.src_node, first.send_req_id)
         taken = [e for e in self._unexpected if (e.src_node, e.send_req_id) == key]
         self._unexpected = deque(

@@ -175,6 +175,9 @@ class RecvRequest(Request):
             if lo > hi:
                 raise ValueError(f"empty tag_bounds {tag_bounds}")
         self.tag_bounds = tag_bounds
+        #: tag of the message this receive matched (a wildcard receive
+        #: learns it at match time)
+        self.matched_tag = tag
 
     def matches(self, tag: int) -> bool:
         return tag_accepts(self.tag, self.tag_bounds, tag)

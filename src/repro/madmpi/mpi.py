@@ -36,11 +36,14 @@ _COLL_TAG_BASE = 1 << 20
 class MPIRequest:
     """Handle returned by ``Isend``/``Irecv`` (wraps a core request)."""
 
-    def __init__(self, core_req: Request, *, is_recv: bool, peer_rank: int) -> None:
+    def __init__(
+        self, core_req: Request, *, is_recv: bool, peer_rank: int, comm: "Communicator"
+    ) -> None:
         self._core = core_req
         self.is_recv = is_recv
         #: the communicator-level rank of the peer (node ids stay internal)
         self.peer_rank = peer_rank
+        self._comm = comm
 
     @property
     def done(self) -> bool:
@@ -60,10 +63,12 @@ class MPIRequest:
             raise MPIError("status of an incomplete request")
         # receives report what actually arrived (object-mode posts an
         # oversized buffer); sends report what was sent
-        count = self._core.bytes_done if self.is_recv else self._core.size
+        core = self._core
+        count = core.bytes_done if self.is_recv else core.size
+        wire_tag = core.matched_tag if self.is_recv else core.tag
         return Status(
             source=self.peer_rank,
-            tag=self._core.tag,
+            tag=self._comm._user_tag(wire_tag),
             count_bytes=count,
         )
 
@@ -189,6 +194,13 @@ class Communicator:
             return ANY_TAG
         return self._context * (_COLL_TAG_BASE << 4) + tag
 
+    def _user_tag(self, wire_tag: int) -> int:
+        """The tag the application used, from its wire tag (the inverse
+        of :meth:`_wire_tag`)."""
+        if wire_tag == ANY_TAG:
+            return ANY_TAG
+        return wire_tag - self._context * (_COLL_TAG_BASE << 4)
+
     def _tag_bounds(self, tag: int) -> tuple[int, int] | None:
         """Wire-tag range a wildcard receive or probe may match: this
         communicator's tag space only."""
@@ -253,7 +265,7 @@ class Communicator:
             )
         finally:
             self._exit(tid)
-        return MPIRequest(req, is_recv=False, peer_rank=dest)
+        return MPIRequest(req, is_recv=False, peer_rank=dest, comm=self)
 
     def Irecv(
         self, source: int, count: int, datatype: Datatype = BYTE, tag: int = 0
@@ -271,7 +283,7 @@ class Communicator:
             )
         finally:
             self._exit(tid)
-        return MPIRequest(req, is_recv=True, peer_rank=source)
+        return MPIRequest(req, is_recv=True, peer_rank=source, comm=self)
 
     def Send(
         self,
@@ -398,7 +410,7 @@ class Communicator:
         self._check_tag(tag, recv=True)
         tid = yield from self._enter()
         try:
-            found, size = yield from self.lib.probe(
+            found, size, wire_tag = yield from self.lib.probe(
                 self._node_of(source),
                 self._wire_tag(tag),
                 tag_bounds=self._tag_bounds(tag),
@@ -407,7 +419,9 @@ class Communicator:
             self._exit(tid)
         if not found:
             return False, None
-        return True, Status(source=source, tag=tag, count_bytes=size)
+        return True, Status(
+            source=source, tag=self._user_tag(wire_tag), count_bytes=size
+        )
 
     def Probe(self, source: int, tag: int = ANY_TAG) -> SimGen:
         """Blocking probe; returns the :class:`Status` of the pending

@@ -4,7 +4,6 @@ from repro.pioman.integration import attach_pioman
 from repro.pioman.manager import PIOMan
 from repro.pioman.offload import (
     IdleCoreSubmit,
-    InlineSubmit,
     SubmitOffload,
     TaskletSubmit,
     set_offload,
@@ -14,7 +13,6 @@ __all__ = [
     "attach_pioman",
     "PIOMan",
     "IdleCoreSubmit",
-    "InlineSubmit",
     "SubmitOffload",
     "TaskletSubmit",
     "set_offload",

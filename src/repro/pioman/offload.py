@@ -1,9 +1,10 @@
 """Submission offloading: who performs the message submission (paper §4.2).
 
-With *inline* submission (the default), ``nm_isend`` itself runs the
-optimizer and injects the packet.  The paper's second step of
-multi-threading the engine moves that CPU-intensive work to idle cores, so
-small-message submission overlaps computation:
+With *inline* submission (the default, no offload installed),
+``nm_isend`` itself runs the optimizer and injects the packet.  The
+paper's second step of multi-threading the engine moves that
+CPU-intensive work to idle cores, so small-message submission overlaps
+computation:
 
 * :class:`IdleCoreSubmit` — the submission stays in the collect layer;
   PIOMan, invoked from an idle core's scheduler hook, detects the pending
@@ -32,11 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SubmitOffload:
-    """Strategy object deciding who flushes freshly-submitted messages."""
+    """Strategy object deciding who flushes freshly-submitted messages.
+
+    Installing one stops ``isend`` from flushing inside its own library
+    entry; ``after_submit`` hands the flush to someone else."""
 
     name: str = "abstract"
-    #: True: ``isend`` flushes inside its own library entry
-    inline: bool = True
 
     def after_submit(self, lib: "NewMadeleine", peer: int) -> SimGen:
         """Called by ``isend`` after the submit entry (outside all locks)."""
@@ -46,22 +48,10 @@ class SubmitOffload:
         return f"<SubmitOffload {self.name}>"
 
 
-class InlineSubmit(SubmitOffload):
-    """Reference behaviour: the application thread transmits."""
-
-    name = "inline"
-    inline = True
-
-    def after_submit(self, lib: "NewMadeleine", peer: int) -> SimGen:
-        return
-        yield  # pragma: no cover - generator marker
-
-
 class IdleCoreSubmit(SubmitOffload):
     """Idle cores pick the submission up through PIOMan's hooks."""
 
     name = "idle-core"
-    inline = False
 
     def after_submit(self, lib: "NewMadeleine", peer: int) -> SimGen:
         # nothing to pay here: the pending message is visible through the
@@ -75,7 +65,6 @@ class TaskletSubmit(SubmitOffload):
     """A tasklet on ``target_core`` runs the library flush."""
 
     name = "tasklet"
-    inline = False
 
     def __init__(self, target_core: int = 1) -> None:
         if target_core < 0:

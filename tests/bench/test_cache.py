@@ -13,9 +13,9 @@ from functools import partial
 import pytest
 
 from repro.bench import cache as bench_cache
-from repro.bench import locking
 from repro.bench.cache import PointCache, point_key
 from repro.bench.config import BenchConfig
+from repro.bench.figures import run_latency
 from repro.bench.runner import run_sweep, sweep_session
 from repro.util.records import ResultSet
 from repro.workloads.matrix import run_scenario
@@ -295,9 +295,9 @@ class TestFigureAndWorkloadWarmRuns:
     sweep and a real workload scenario."""
 
     def test_fig3_warm_byte_identical(self, warm_cache):
-        cold = locking.run_fig3(QUICK)
+        cold = run_latency("fig3", QUICK)
         before = bench_cache.stats()
-        warm = locking.run_fig3(QUICK)
+        warm = run_latency("fig3", QUICK)
         delta = bench_cache.stats().delta(before)
         assert delta.misses == 0 and delta.hits == len(cold)
         assert cold.to_json() == warm.to_json()
@@ -320,10 +320,10 @@ class TestFigureAndWorkloadWarmRuns:
         assert bench_cache.stats().delta(before).hits == 0
 
     def test_fig3_warm_across_worker_counts(self, warm_cache):
-        cold = locking.run_fig3(QUICK)
+        cold = run_latency("fig3", QUICK)
         for workers in (2, 4):
             with sweep_session(workers=workers):
-                warm = locking.run_fig3(QUICK)
+                warm = run_latency("fig3", QUICK)
             assert warm.to_json() == cold.to_json()
 
 
@@ -335,9 +335,9 @@ class TestObservationRoundTrip:
         from repro.obs import capture as obs_capture
 
         with obs_capture.observe(trace=True) as cold_obs:
-            cold = locking.run_fig3(QUICK)
+            cold = run_latency("fig3", QUICK)
         with obs_capture.observe(trace=True) as warm_obs:
-            warm = locking.run_fig3(QUICK)
+            warm = run_latency("fig3", QUICK)
         assert cold.to_json() == warm.to_json()
         assert cold_obs.serialize() == warm_obs.serialize()
         assert warm_obs.event_count() == cold_obs.event_count() > 0
@@ -345,10 +345,10 @@ class TestObservationRoundTrip:
     def test_blind_entries_do_not_serve_observed_runs(self, warm_cache):
         from repro.obs import capture as obs_capture
 
-        locking.run_fig3(QUICK)  # cold, unobserved
+        run_latency("fig3", QUICK)  # cold, unobserved
         before = bench_cache.stats()
         with obs_capture.observe(trace=True) as obs:
-            locking.run_fig3(QUICK)
+            run_latency("fig3", QUICK)
         delta = bench_cache.stats().delta(before)
         assert delta.hits == 0, "unobserved entries must not serve traces"
         assert obs.event_count() > 0

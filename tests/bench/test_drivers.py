@@ -7,8 +7,14 @@ from repro.bench.lockcost import (
     lock_cycles_per_message,
     measure_spin_cycle_ns,
 )
-from repro.bench.overlap import OFFLOAD_MODES, build_overlap_bed, run_overlap
-from repro.bench.pingpong import PingPongResult, run_concurrent_pingpong, run_pingpong
+from repro.bench.config import BenchConfig
+from repro.bench.figures import LATENCY_SERIES
+from repro.bench.pingpong import (
+    PingPongResult,
+    latency_point,
+    run_concurrent_pingpong,
+    run_pingpong,
+)
 from repro.core import build_testbed
 
 
@@ -67,12 +73,16 @@ class TestConcurrent:
 
 class TestOverlap:
     def test_modes_list(self):
-        assert OFFLOAD_MODES == ("inline", "idle-core", "tasklet")
+        fig9 = LATENCY_SERIES["fig9"]
+        assert [s.offload for s in fig9.values()] == [None, "idle-core", "tasklet"]
 
     def test_overlap_includes_compute(self):
-        bed = build_overlap_bed("inline")
-        res = run_overlap(bed, 2048, compute_ns=10_000, iterations=4, warmup=1)
-        assert res.latency_ns > 5_000  # at least the compute phase shows
+        reference = LATENCY_SERIES["fig9"]["reference"]
+        assert reference.compute_ns == 10_000
+        latency_us = latency_point(
+            reference, 2048, BenchConfig(iterations=4, warmup=1)
+        )
+        assert latency_us > 5  # at least the compute phase shows
 
 
 class TestDedicatedCore:

@@ -12,7 +12,8 @@ from functools import partial
 
 import pytest
 
-from repro.bench import locking, parallel, waiting
+from repro.bench import parallel
+from repro.bench.figures import run_latency
 from repro.bench.config import BenchConfig
 from repro.bench.parallel import (
     WORKERS_ENV,
@@ -232,15 +233,15 @@ class TestFigureDeterminism:
     """E-series sweeps: parallel must serialize byte-identically."""
 
     def test_fig3_parallel_identical(self):
-        seq = locking.run_fig3(QUICK)
+        seq = run_latency("fig3", QUICK)
         with sweep_session(workers=2):
-            par = locking.run_fig3(QUICK)
+            par = run_latency("fig3", QUICK)
         assert seq.to_json() == par.to_json()
 
     def test_fig7_parallel_identical(self):
-        seq = waiting.run_fig7(QUICK)
+        seq = run_latency("fig7", QUICK)
         with sweep_session(workers=2):
-            par = waiting.run_fig7(QUICK)
+            par = run_latency("fig7", QUICK)
         assert seq.to_json() == par.to_json()
 
 

@@ -182,12 +182,12 @@ class TestPolicyOverheadCalibration:
 
     @staticmethod
     def offsets(sizes=(1, 64, 1024)):
-        from repro.bench import locking
+        from repro.bench import figures
         from repro.bench.config import BenchConfig
 
         cfg = BenchConfig(iterations=32, warmup=4, sizes=sizes, jitter_ns=150)
-        results = locking.run_fig3(cfg)
-        return locking.fig3_offsets(results), results
+        results = figures.run_latency("fig3", cfg)
+        return figures.fig3_offsets(results), results
 
     def test_offsets_match_paper(self):
         offsets, _ = self.offsets()

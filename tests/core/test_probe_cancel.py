@@ -13,12 +13,11 @@ class TestProbe:
 
         def prober():
             lib = bed.lib(1)
-            found, size = yield from lib.probe(0, 5)
-            out["r"] = (found, size)
+            out["r"] = yield from lib.probe(0, 5)
 
         t = bed.machine(1).scheduler.spawn(prober(), name="p", core=0)
         bed.run(until=lambda: t.done)
-        assert out["r"] == (False, None)
+        assert out["r"] == (False, None, None)
 
     def test_probe_finds_unexpected_eager(self):
         bed = build_testbed(policy="none")
@@ -32,10 +31,8 @@ class TestProbe:
         def prober():
             lib = bed.lib(1)
             yield Delay(50_000)
-            found, size = yield from lib.probe(0, 5)
-            out["tagged"] = (found, size)
-            found_any, size_any = yield from lib.probe(0, -1)
-            out["wild"] = (found_any, size_any)
+            out["tagged"] = yield from lib.probe(0, 5)
+            out["wild"] = yield from lib.probe(0, -1)
             # the message is still receivable
             req = yield from lib.irecv(0, 5, 96)
             yield from lib.wait(req, BusyWait())
@@ -44,8 +41,8 @@ class TestProbe:
         ts = bed.machine(0).scheduler.spawn(sender(), name="s", core=0)
         tp = bed.machine(1).scheduler.spawn(prober(), name="p", core=0)
         bed.run(until=lambda: ts.done and tp.done)
-        assert out["tagged"] == (True, 96)
-        assert out["wild"] == (True, 96)
+        assert out["tagged"] == (True, 96, 5)
+        assert out["wild"] == (True, 96, 5)
         assert out["recv"] == 96
 
     def test_probe_unknown_peer(self):

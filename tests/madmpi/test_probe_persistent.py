@@ -188,3 +188,25 @@ class TestPersistent:
             comms[0].Send_init(0, 8)  # self-send
         with pytest.raises(MPIError):
             comms[0].Recv_init(9, 8)  # no such rank
+
+
+class TestStatusTag:
+    def test_status_reports_the_sent_tag(self):
+        """Wildcard probes and receives report the tag the message was
+        sent with, and a split communicator reports its own user tag, not
+        the wire tag it travels under."""
+        bed, comms = world()
+
+        def rank_fn(comm):
+            sub = yield from comm.Split(color=0)
+            if comm.rank == 0:
+                yield from comm.Send(1, 34, BYTE, tag=5)
+                yield from sub.Send(1, 64, BYTE, tag=5)
+                return None
+            yield Delay(50_000)  # both messages are here, unexpected
+            _, probed = yield from comm.Iprobe(0, ANY_TAG)
+            _, wildcard = yield from comm.Recv(0, 34, BYTE, tag=ANY_TAG)
+            _, split = yield from sub.Recv(0, 64, BYTE, tag=5)
+            return probed.tag, wildcard.tag, split.tag
+
+        assert run_ranks(bed, comms, rank_fn)[1] == (5, 5, 5)

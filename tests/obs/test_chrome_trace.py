@@ -3,7 +3,7 @@
 import json
 from functools import partial
 
-from repro.bench import locking
+from repro.bench.pingpong import Series, latency_point
 from repro.bench.config import BenchConfig
 from repro.bench.pingpong import run_pingpong
 from repro.bench.runner import run_sweep, sweep_session
@@ -132,7 +132,7 @@ class TestParallelTraceDeterminism:
 
     def _sweep_trace(self, workers):
         configs = {
-            p: partial(locking.fig3_point, p, cfg=self.CFG)
+            p: partial(latency_point, Series(p), cfg=self.CFG)
             for p in ("none", "fine")
         }
         with observe() as obs, sweep_session(workers=workers):
@@ -150,7 +150,7 @@ class TestParallelTraceDeterminism:
 
     def test_parallel_capture_labels_sequential_order(self):
         configs = {
-            p: partial(locking.fig3_point, p, cfg=self.CFG)
+            p: partial(latency_point, Series(p), cfg=self.CFG)
             for p in ("none", "fine")
         }
         with observe() as obs, sweep_session(workers=2):
